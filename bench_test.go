@@ -265,8 +265,15 @@ func benchSweepWorkers(b *testing.B, workers int) {
 // BenchmarkSweepWorkers1 is the sequential-equivalent baseline.
 func BenchmarkSweepWorkers1(b *testing.B) { benchSweepWorkers(b, 1) }
 
-// BenchmarkSweepWorkersMax uses one worker per CPU.
-func BenchmarkSweepWorkersMax(b *testing.B) { benchSweepWorkers(b, runtime.GOMAXPROCS(0)) }
+// BenchmarkSweepWorkersMax uses one worker per CPU. At GOMAXPROCS=1 it
+// would repeat BenchmarkSweepWorkers1 under another name, so it skips.
+func BenchmarkSweepWorkersMax(b *testing.B) {
+	procs := runtime.GOMAXPROCS(0)
+	if procs == 1 {
+		b.Skip("GOMAXPROCS=1: one worker per CPU is the Workers1 run")
+	}
+	benchSweepWorkers(b, procs)
+}
 
 // BenchmarkProtectedWrite measures the functional layer's write path
 // (real AES-CTR + HMAC + tree reseal).

@@ -22,6 +22,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 )
 
 // BlockSize is the protected block granularity in bytes.
@@ -34,9 +35,23 @@ const MACSize = 8
 type MAC [MACSize]byte
 
 // Engine holds the secret keys of one memory-protection engine instance.
+//
+// An Engine is not safe for concurrent use: it keeps one keyed HMAC state
+// and the scratch every primitive stages through, so each owner (a
+// secmem.Memory, an attack victim) holds its own.
 type Engine struct {
-	block  cipher.Block
-	macKey [32]byte
+	block cipher.Block
+	// mac is the keyed HMAC-SHA256 state. Reset restores the saved
+	// ipad/opad midstates, so no MAC pays the key setup again.
+	mac hash.Hash
+
+	// Scratch. Data reaches the cipher and the hash only through these
+	// fields, so no caller's buffer escapes through the interface calls
+	// and no primitive allocates.
+	nonce [16]byte
+	pad   [BlockSize]byte
+	buf   [BlockSize]byte
+	sum   [sha256.Size]byte
 }
 
 // NewEngine derives an engine from a seed. Production hardware fuses a
@@ -51,9 +66,11 @@ func NewEngine(seed uint64) *Engine {
 		// aes.NewCipher only fails on bad key length; 16 is always valid.
 		panic(err)
 	}
-	e := &Engine{block: b}
-	h := sha256.Sum256(aesKey[:])
-	e.macKey = h
+	macKey := sha256.Sum256(aesKey[:])
+	e := &Engine{block: b, mac: hmac.New(sha256.New, macKey[:])}
+	// The first Reset saves the midstates (allocating); take it here so
+	// that every MAC is allocation-free.
+	e.mac.Reset()
 	return e
 }
 
@@ -62,52 +79,64 @@ func NewEngine(seed uint64) *Engine {
 // (the counter-management layer) is responsible for never reusing a counter
 // value for the same address.
 func (e *Engine) OTP(addr uint64, counter uint64) [BlockSize]byte {
-	var pad [BlockSize]byte
-	var in [16]byte
-	binary.LittleEndian.PutUint64(in[0:], addr)
+	e.fillPad(addr, counter)
+	return e.pad
+}
+
+// fillPad computes the pad for (addr, counter) into e.pad.
+func (e *Engine) fillPad(addr, counter uint64) {
+	binary.LittleEndian.PutUint64(e.nonce[0:], addr)
 	for i := 0; i < BlockSize/16; i++ {
-		binary.LittleEndian.PutUint64(in[8:], counter<<2|uint64(i))
-		e.block.Encrypt(pad[i*16:(i+1)*16], in[:])
+		binary.LittleEndian.PutUint64(e.nonce[8:], counter<<2|uint64(i))
+		e.block.Encrypt(e.pad[i*16:(i+1)*16], e.nonce[:])
 	}
-	return pad
 }
 
-// Seal encrypts a 64B plaintext block in place semantics: it returns the
-// ciphertext for (addr, counter).
+// Seal returns the ciphertext of a 64B plaintext block for (addr, counter)
+// in a new slice.
 func (e *Engine) Seal(addr, counter uint64, plaintext []byte) []byte {
-	return e.xorPad(addr, counter, plaintext)
+	out := new([BlockSize]byte)
+	e.SealInto(out, addr, counter, plaintext)
+	return out[:]
 }
 
-// Open decrypts a 64B ciphertext block for (addr, counter).
+// Open returns the plaintext of a 64B ciphertext block for (addr, counter)
+// in a new slice.
 func (e *Engine) Open(addr, counter uint64, ciphertext []byte) []byte {
-	return e.xorPad(addr, counter, ciphertext)
+	out := new([BlockSize]byte)
+	e.OpenInto(out, addr, counter, ciphertext)
+	return out[:]
 }
 
-func (e *Engine) xorPad(addr, counter uint64, in []byte) []byte {
+// SealInto encrypts a 64B plaintext block for (addr, counter) into dst,
+// which may alias plaintext.
+func (e *Engine) SealInto(dst *[BlockSize]byte, addr, counter uint64, plaintext []byte) {
+	e.xorPad(dst, addr, counter, plaintext)
+}
+
+// OpenInto decrypts a 64B ciphertext block for (addr, counter) into dst,
+// which may alias ciphertext.
+func (e *Engine) OpenInto(dst *[BlockSize]byte, addr, counter uint64, ciphertext []byte) {
+	e.xorPad(dst, addr, counter, ciphertext)
+}
+
+func (e *Engine) xorPad(dst *[BlockSize]byte, addr, counter uint64, in []byte) {
 	if len(in) != BlockSize {
 		panic("crypto: block must be 64 bytes")
 	}
-	pad := e.OTP(addr, counter)
-	out := make([]byte, BlockSize)
-	for i := range out {
-		out[i] = in[i] ^ pad[i]
+	e.fillPad(addr, counter)
+	for i := range dst {
+		dst[i] = in[i] ^ e.pad[i]
 	}
-	return out
 }
 
 // BlockMAC computes the fine-grained MAC over (addr, counter, ciphertext).
 // Binding the address prevents splicing; binding the counter prevents
 // replay of a (ciphertext, MAC) pair from an earlier version.
 func (e *Engine) BlockMAC(addr, counter uint64, ciphertext []byte) MAC {
-	h := hmac.New(sha256.New, e.macKey[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], addr)
-	binary.LittleEndian.PutUint64(hdr[8:], counter)
-	h.Write(hdr[:])
-	h.Write(ciphertext)
-	var m MAC
-	copy(m[:], h.Sum(nil))
-	return m
+	e.begin(addr, counter)
+	e.write(ciphertext)
+	return e.end()
 }
 
 // NestedMAC folds fine-grained MACs into one coarse MAC by chained hashing
@@ -116,40 +145,58 @@ func (e *Engine) NestedMAC(fine []MAC) MAC {
 	if len(fine) == 0 {
 		panic("crypto: NestedMAC of zero MACs")
 	}
-	acc := e.hashMAC(fine[0][:], nil)
-	for _, m := range fine[1:] {
-		acc = e.hashMAC(acc[:], m[:])
+	acc := e.hashMAC(fine[0], nil)
+	for i := range fine[1:] {
+		acc = e.hashMAC(acc, &fine[i+1])
 	}
 	return acc
 }
 
-func (e *Engine) hashMAC(a, b []byte) MAC {
-	h := hmac.New(sha256.New, e.macKey[:])
-	h.Write(a)
+// hashMAC returns H(a) or, when b is non-nil, H(a || b).
+func (e *Engine) hashMAC(a MAC, b *MAC) MAC {
+	e.mac.Reset()
+	n := copy(e.buf[:], a[:])
 	if b != nil {
-		h.Write(b)
+		n += copy(e.buf[n:], b[:])
 	}
-	var m MAC
-	copy(m[:], h.Sum(nil))
-	return m
+	e.mac.Write(e.buf[:n])
+	return e.end()
 }
 
 // NodeMAC authenticates an integrity-tree node: the hash of a counter-line
 // payload keyed by the parent counter that versions it. Used by the
 // functional tree to chain each level to its parent up to the on-chip root.
 func (e *Engine) NodeMAC(nodeAddr uint64, parentCounter uint64, counters []uint64) MAC {
-	h := hmac.New(sha256.New, e.macKey[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], nodeAddr)
-	binary.LittleEndian.PutUint64(hdr[8:], parentCounter)
-	h.Write(hdr[:])
-	var buf [8]byte
+	e.begin(nodeAddr, parentCounter)
 	for _, c := range counters {
-		binary.LittleEndian.PutUint64(buf[:], c)
-		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(e.buf[:8], c)
+		e.mac.Write(e.buf[:8])
 	}
+	return e.end()
+}
+
+// begin resets the MAC state and feeds it the 16B (addr, counter) header.
+func (e *Engine) begin(addr, counter uint64) {
+	e.mac.Reset()
+	binary.LittleEndian.PutUint64(e.buf[0:], addr)
+	binary.LittleEndian.PutUint64(e.buf[8:], counter)
+	e.mac.Write(e.buf[:16])
+}
+
+// write feeds p to the MAC through e.buf, so p never escapes.
+func (e *Engine) write(p []byte) {
+	for len(p) > 0 {
+		n := copy(e.buf[:], p)
+		e.mac.Write(e.buf[:n])
+		p = p[n:]
+	}
+}
+
+// end returns the MAC truncated from the digest of what was fed since
+// the last Reset.
+func (e *Engine) end() MAC {
 	var m MAC
-	copy(m[:], h.Sum(nil))
+	copy(m[:], e.mac.Sum(e.sum[:0]))
 	return m
 }
 

@@ -504,9 +504,9 @@ func isGran(p *lint.Package, e ast.Expr) bool {
 
 // DropWindow elides the lazy-switch window: pending-switch commits are
 // deleted or collapsed, reads resolve against the not-yet-committed
-// encoding, the staging-buffer reseal falls back to off-chip ciphertext
-// (reintroducing the exact TOCTOU hole PR 7 closed), and the switch-window
-// probe event disappears.
+// encoding, and the switch-window probe event disappears. (The functional
+// layer reseals only from its verified staging buffer, so there is no
+// off-chip reseal path left to fall back to.)
 type DropWindow struct{}
 
 // Name implements Operator.
@@ -517,7 +517,7 @@ func (*DropWindow) Tier() string { return "domain" }
 
 // Doc implements Operator.
 func (*DropWindow) Doc() string {
-	return "elide the lazy-switch window: commits dropped, Current reads Next, reseal from off-chip bytes"
+	return "elide the lazy-switch window: commits dropped, Current reads Next, window event deleted"
 }
 
 // Sites implements Operator.
@@ -557,12 +557,6 @@ func (op *DropWindow) Sites(m *Module, p *lint.Package) []Site {
 			case fn.Name() == "Current" && onTable(fn) && sel != nil:
 				out = append(out, m.identSwapSite(p, op, sel.Sel, "Next",
 					"Current reads the uncommitted Next encoding: the window collapses to zero"))
-			case fn.Name() == "sealUnitFromPlain" && sel != nil && len(e.Args) == 4:
-				recv := m.nodeText(p, sel.X)
-				args := []string{m.nodeText(p, e.Args[0]), m.nodeText(p, e.Args[1]), m.nodeText(p, e.Args[2])}
-				out = append(out, m.site(p, op, e,
-					fmt.Sprintf("%s.sealUnit(%s, %s, %s)", recv, args[0], args[1], args[2]),
-					"reseal from off-chip ciphertext instead of the verify-time capture (the PR-7 TOCTOU hole)"))
 			}
 		case *ast.IfStmt:
 			if site, ok := m.probeWindowSite(p, op, e); ok {

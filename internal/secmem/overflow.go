@@ -54,54 +54,40 @@ func (m *Memory) minorLimit() uint64 {
 // new effective counter, with all unit MACs recomputed — the overflow
 // cost real split-counter designs pay (cf. Morphable Counters [41]).
 func (m *Memory) bumpMajor(chunk uint64) error {
-	oldMajor := m.majors[chunk]
 	sp := m.table.Current(chunk)
 	chunkBase := chunk * meta.ChunkSize
+	units := sp.Units()
 
-	// Decrypt everything under the old epoch first.
-	type unitPlain struct {
-		base  uint64
-		gran  meta.Gran
-		minor uint64
-		plain map[uint64][]byte
-	}
-	var units []unitPlain
-	for _, u := range sp.Units() {
-		base := chunkBase + uint64(u.Block)*meta.BlockSize
-		if err := m.verifyChain(u.Gran.Level(), meta.BlockIndex(base)); err != nil {
+	// Verify and stage everything under the old epoch first: an epoch bump
+	// that resealed tampered ciphertext would launder the tamper.
+	for _, u := range units {
+		if _, err := m.captureUnit(chunkBase+uint64(u.Block)*meta.BlockSize, u.Gran, sp); err != nil {
 			return err
 		}
-		minor := m.readCounter(u.Gran.Level(), m.geom.CounterEntryIndex(u.Gran.Level(), meta.BlockIndex(base)))
-		up := unitPlain{base: base, gran: u.Gran, minor: minor, plain: map[uint64][]byte{}}
-		oldEff := oldMajor<<uint(m.ctrBits) | minor
-		// Verify content before decrypting for re-encryption: an epoch bump
-		// that resealed tampered ciphertext would launder the tamper.
-		if err := m.verifyUnit(base, u.Gran, sp, minor, oldEff); err != nil {
-			return err
-		}
-		for a := base; a < base+u.Gran.Bytes(); a += meta.BlockSize {
-			if ct, ok := m.data[a]; ok {
-				up.plain[a] = m.eng.Open(a, oldEff, ct[:])
-			}
-		}
-		units = append(units, up)
 	}
 
-	m.majors[chunk] = oldMajor + 1
+	m.majors[chunk]++
 	m.Stats.Overflows++
 
-	// Re-encrypt and reseal every touched unit under the new epoch.
-	for _, up := range units {
-		if len(up.plain) == 0 && up.minor == 0 {
+	// Re-encrypt and reseal every touched unit under the new epoch; minors
+	// are unchanged, so each unit's counter reads as captured.
+	for _, u := range units {
+		base := chunkBase + uint64(u.Block)*meta.BlockSize
+		minor := m.unitCounter(base, u.Gran)
+		if minor == 0 && !m.anyHeld(u) {
 			continue // untouched unit: stays pristine
 		}
-		newEff := m.effectiveCtr(chunk, up.minor)
-		for a, pt := range up.plain {
-			var ct [meta.BlockSize]byte
-			copy(ct[:], m.eng.Seal(a, newEff, pt))
-			m.data[a] = ct
-		}
-		m.sealUnit(up.base, up.gran, newEff)
+		m.sealUnit(base, u.Gran, m.effectiveCtr(chunk, minor))
 	}
 	return nil
+}
+
+// anyHeld reports whether the last capture staged any block of unit u.
+func (m *Memory) anyHeld(u meta.Unit) bool {
+	for _, h := range m.held[u.Block : u.Block+u.Blocks()] {
+		if h {
+			return true
+		}
+	}
+	return false
 }

@@ -58,6 +58,20 @@ type Memory struct {
 
 	// Stats counts functional operations for tests and examples.
 	Stats Stats
+
+	// Scratch the data path stages through, so steady-state reads and
+	// writes allocate nothing but the plaintext Read returns. Like its
+	// engine, a Memory is single-owner.
+	//
+	// fines holds the per-64B MACs fineMACs and sealUnit compute; each
+	// caller consumes them before the next call.
+	fines [meta.BlocksPerChunk]crypto.MAC
+	// plain is the on-chip staging buffer for one chunk's plaintext, by
+	// block in chunk; held marks the blocks captureUnit found stored
+	// ciphertext for. Writes, overflows and switches verify and decrypt
+	// into it, then reseal exclusively from it (see captureUnit).
+	plain [meta.BlocksPerChunk][meta.BlockSize]byte
+	held  [meta.BlocksPerChunk]bool
 }
 
 // SetProbe attaches an event tap to the functional layer; only
@@ -136,8 +150,8 @@ func (m *Memory) writeCounter(level int, entry uint64, val uint64) {
 	m.sealLine(level, line, parentVal)
 }
 
-func (m *Memory) lineEntries(level int, line uint64) []uint64 {
-	out := make([]uint64, meta.Arity)
+func (m *Memory) lineEntries(level int, line uint64) [meta.Arity]uint64 {
+	var out [meta.Arity]uint64
 	for i := range out {
 		out[i] = m.readCounter(level, line*meta.Arity+uint64(i))
 	}
@@ -153,7 +167,8 @@ func (m *Memory) lineAddr(level int, line uint64) uint64 {
 
 func (m *Memory) sealLine(level int, line uint64, parentVal uint64) {
 	addr := m.lineAddr(level, line)
-	m.nodeMACs[addr] = m.eng.NodeMAC(addr, parentVal, m.lineEntries(level, line))
+	ents := m.lineEntries(level, line)
+	m.nodeMACs[addr] = m.eng.NodeMAC(addr, parentVal, ents[:])
 }
 
 // verifyChain checks the tree from the counter line at startLevel covering
@@ -174,7 +189,8 @@ func (m *Memory) verifyChain(startLevel int, blockIdx uint64) error {
 			return fmt.Errorf("%w: missing node MAC at level %d", ErrTree, level)
 		}
 		m.Stats.Verified++
-		want := m.eng.NodeMAC(addr, parentVal, m.lineEntries(level, line))
+		ents := m.lineEntries(level, line)
+		want := m.eng.NodeMAC(addr, parentVal, ents[:])
 		if !crypto.Equal(stored, want) {
 			return fmt.Errorf("%w: level %d line %#x", ErrTree, level, addr)
 		}
@@ -207,10 +223,11 @@ func (m *Memory) unitCounter(base uint64, gran meta.Gran) uint64 {
 	return m.readCounter(gran.Level(), m.geom.CounterEntryIndex(gran.Level(), meta.BlockIndex(base)))
 }
 
-// fineMACs computes the per-64B MACs of a unit's ciphertext under counter
-// ctr.
+// fineMACs computes the per-64B MACs of a unit's stored ciphertext under
+// counter ctr into m.fines and returns them; never-written blocks MAC as
+// zero ciphertext.
 func (m *Memory) fineMACs(base uint64, gran meta.Gran, ctr uint64) []crypto.MAC {
-	out := make([]crypto.MAC, gran.Blocks())
+	out := m.fines[:gran.Blocks()]
 	for i := range out {
 		blockAddr := base + uint64(i*meta.BlockSize)
 		ct := m.data[blockAddr]
@@ -225,16 +242,62 @@ func (m *Memory) unitMACAddr(base uint64, sp meta.StreamPart) uint64 {
 	return a
 }
 
-// sealUnit recomputes and stores the unit's MAC (nested for coarse units,
-// per-block for fine) under counter ctr.
-func (m *Memory) sealUnit(base uint64, gran meta.Gran, ctr uint64) {
-	sp := m.table.Current(meta.ChunkIndex(base))
-	fines := m.fineMACs(base, gran, ctr)
+// unitMAC returns the MAC a unit with these fine MACs stores: the fine
+// MAC itself at 64B, the nested MAC (Eq. 5) of coarse units.
+func (m *Memory) unitMAC(gran meta.Gran, fines []crypto.MAC) crypto.MAC {
 	if gran == meta.Gran64 {
-		m.macs[m.unitMACAddr(base, sp)] = fines[0]
-		return
+		return fines[0]
 	}
-	m.macs[m.unitMACAddr(base, sp)] = m.eng.NestedMAC(fines)
+	return m.eng.NestedMAC(fines)
+}
+
+// captureUnit verifies one unit — the chain for freshness, the unit MAC
+// for content — and only then decrypts its stored blocks into the staging
+// buffer, marking them held. It returns the unit's minor counter. Every
+// path that reseals existing data captures through here first and reseals
+// exclusively from the staged plaintext: resealing from off-chip
+// ciphertext, or without verification, would launder off-chip tampering
+// into fresh MACs (the TOCTOU hole real engines close by verifying into
+// on-chip buffers before any re-encryption).
+func (m *Memory) captureUnit(base uint64, gran meta.Gran, sp meta.StreamPart) (uint64, error) {
+	if err := m.verifyChain(gran.Level(), meta.BlockIndex(base)); err != nil {
+		return 0, err
+	}
+	minor := m.unitCounter(base, gran)
+	eff := m.effectiveCtr(meta.ChunkIndex(base), minor)
+	if err := m.verifyUnit(base, gran, sp, minor, eff); err != nil {
+		return 0, err
+	}
+	first := meta.BlockInChunk(base)
+	for i := 0; i < gran.Blocks(); i++ {
+		a := base + uint64(i*meta.BlockSize)
+		ct, ok := m.data[a]
+		m.held[first+i] = ok
+		if ok {
+			m.eng.OpenInto(&m.plain[first+i], a, eff, ct[:])
+		}
+	}
+	return minor, nil
+}
+
+// sealUnit re-encrypts a unit's held blocks from the staging buffer under
+// eff, writes the ciphertext back and stores the unit's MAC. Blocks not
+// held keep zero-ciphertext MAC semantics (matching fineMACs) without
+// being materialized.
+func (m *Memory) sealUnit(base uint64, gran meta.Gran, eff uint64) {
+	first := meta.BlockInChunk(base)
+	fines := m.fines[:gran.Blocks()]
+	for i := range fines {
+		a := base + uint64(i*meta.BlockSize)
+		var ct [meta.BlockSize]byte
+		if m.held[first+i] {
+			m.eng.SealInto(&ct, a, eff, m.plain[first+i][:])
+			m.data[a] = ct
+		}
+		fines[i] = m.eng.BlockMAC(a, eff, ct[:])
+	}
+	sp := m.table.Current(meta.ChunkIndex(base))
+	m.macs[m.unitMACAddr(base, sp)] = m.unitMAC(gran, fines)
 }
 
 // verifyUnit authenticates the unit's stored ciphertext against its MAC
@@ -252,14 +315,7 @@ func (m *Memory) verifyUnit(base uint64, gran meta.Gran, sp meta.StreamPart, min
 		}
 		return fmt.Errorf("%w: missing MAC for unit %#x", ErrMAC, base)
 	}
-	fines := m.fineMACs(base, gran, eff)
-	var want crypto.MAC
-	if gran == meta.Gran64 {
-		want = fines[0]
-	} else {
-		want = m.eng.NestedMAC(fines)
-	}
-	if !crypto.Equal(stored, want) {
+	if !crypto.Equal(stored, m.unitMAC(gran, m.fineMACs(base, gran, eff))) {
 		return fmt.Errorf("%w: unit %#x (%v)", ErrMAC, base, gran)
 	}
 	return nil
@@ -282,49 +338,37 @@ func (m *Memory) Write(addr uint64, plaintext []byte) error {
 	level := gran.Level()
 	entry := m.geom.CounterEntryIndex(level, meta.BlockIndex(base))
 
-	// Verify before read-modify-write of sibling blocks: the chain for
-	// freshness, the unit MAC for content — sibling ciphertext is about to
-	// be decrypted and resealed, and resealing unverified data would turn a
+	// Verify, then capture the unit's current plaintext: sibling blocks are
+	// about to be resealed, and resealing unverified data would turn a
 	// write into a tamper-laundering primitive.
-	if err := m.verifyChain(level, meta.BlockIndex(base)); err != nil {
-		return err
-	}
-	preMinor := m.readCounter(level, entry)
-	if err := m.verifyUnit(base, gran, m.table.Current(chunk), preMinor, m.effectiveCtr(chunk, preMinor)); err != nil {
+	oldCtr, err := m.captureUnit(base, gran, m.table.Current(chunk))
+	if err != nil {
 		return err
 	}
 	// Minor-counter saturation: bump the chunk's major epoch (re-encrypts
-	// the chunk and resets minors) before taking the write.
-	if m.readCounter(level, entry)+1 >= m.minorLimit() {
+	// the chunk under the new epoch) before taking the write. The bump
+	// verifies and stages the chunk again, leaving this unit's plaintext as
+	// captured above.
+	if oldCtr+1 >= m.minorLimit() {
 		if err := m.bumpMajor(chunk); err != nil {
 			return err
 		}
 	}
-	oldCtr := m.readCounter(level, entry)
-	oldEff := m.effectiveCtr(chunk, oldCtr)
 
-	// Decrypt current unit contents (zero for never-written blocks).
-	plain := make([][]byte, gran.Blocks())
-	for i := range plain {
-		blockAddr := base + uint64(i*meta.BlockSize)
-		if ct, ok := m.data[blockAddr]; ok {
-			plain[i] = m.eng.Open(blockAddr, oldEff, ct[:])
-		} else {
-			plain[i] = make([]byte, meta.BlockSize)
+	// Stage the new unit contents: never-written members as zeros, the
+	// written block as given. Every member is then materialized.
+	first := meta.BlockInChunk(base)
+	for i := first; i < first+gran.Blocks(); i++ {
+		if !m.held[i] {
+			m.plain[i] = [meta.BlockSize]byte{}
+			m.held[i] = true
 		}
 	}
-	plain[(addr-base)/meta.BlockSize] = plaintext
+	copy(m.plain[meta.BlockInChunk(addr)][:], plaintext)
 
 	newCtr := oldCtr + 1
-	newEff := m.effectiveCtr(chunk, newCtr)
 	m.writeCounter(level, entry, newCtr)
-	for i := range plain {
-		blockAddr := base + uint64(i*meta.BlockSize)
-		var ct [meta.BlockSize]byte
-		copy(ct[:], m.eng.Seal(blockAddr, newEff, plain[i]))
-		m.data[blockAddr] = ct
-	}
-	m.sealUnit(base, gran, newEff)
+	m.sealUnit(base, gran, m.effectiveCtr(chunk, newCtr))
 	return nil
 }
 
@@ -349,13 +393,13 @@ func (m *Memory) Read(addr uint64) ([]byte, error) {
 	if err := m.verifyUnit(base, gran, sp, minor, ctr); err != nil {
 		return nil, err
 	}
-	ct, ok := m.data[addr]
-	if !ok {
-		// Verified unit with no stored ciphertext for this block: pristine
-		// (or a zero-ciphertext member the MAC covers) reads as zero.
-		return make([]byte, meta.BlockSize), nil
+	// A verified unit with no stored ciphertext for this block is pristine
+	// (or a zero-ciphertext member the MAC covers) and reads as zero.
+	out := new([meta.BlockSize]byte)
+	if ct, ok := m.data[addr]; ok {
+		m.eng.OpenInto(out, addr, ctr, ct[:])
 	}
-	return m.eng.Open(addr, ctr, ct[:]), nil
+	return out[:], nil
 }
 
 func (m *Memory) unitUntouched(base uint64, gran meta.Gran) bool {

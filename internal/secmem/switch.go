@@ -3,7 +3,6 @@ package secmem
 import (
 	"fmt"
 
-	"unimem/internal/crypto"
 	"unimem/internal/meta"
 	"unimem/internal/probe"
 )
@@ -44,40 +43,25 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 
 	// Verify and capture the old state: per old unit, verify the chain
 	// (freshness) and the unit MAC (content), then decrypt every stored
-	// block into an on-chip capture buffer. The reseal phase below works
-	// exclusively from this captured plaintext — resealing from off-chip
-	// ciphertext after verification would let a mid-switch tamper be
-	// laundered into fresh MACs (the TOCTOU window real engines close with
-	// on-chip staging buffers).
-	type oldUnit struct {
-		base uint64
-		gran meta.Gran
-		ctr  uint64
-	}
-	oldUnits := map[uint64]oldUnit{} // by base address
-	plains := map[uint64][]byte{}    // captured plaintext by block address
+	// block into the on-chip staging buffer (captureUnit). The reseal phase
+	// below works exclusively from this captured plaintext — resealing from
+	// off-chip ciphertext after verification would let a mid-switch tamper
+	// be laundered into fresh MACs.
+	var oldCtrs [meta.BlocksPerChunk]uint64 // old unit counters, by first block
 	for _, u := range oldSP.Units() {
 		base := chunkBase + uint64(u.Block)*meta.BlockSize
-		if err := m.verifyChain(u.Gran.Level(), meta.BlockIndex(base)); err != nil {
+		ctr, err := m.captureUnit(base, u.Gran, oldSP)
+		if err != nil {
 			return err
 		}
-		ctr := m.unitCounter(base, u.Gran)
-		eff := m.effectiveCtr(chunk, ctr)
-		if err := m.verifyUnit(base, u.Gran, oldSP, ctr, eff); err != nil {
-			return err
-		}
-		oldUnits[base] = oldUnit{base: base, gran: u.Gran, ctr: ctr}
-		for a := base; a < base+u.Gran.Bytes(); a += meta.BlockSize {
-			if ct, ok := m.data[a]; ok {
-				plains[a] = m.eng.Open(a, eff, ct[:])
-			}
-		}
+		oldCtrs[u.Block] = ctr
 		delete(m.macs, m.unitMACAddr(base, oldSP))
 	}
-	// oldOf returns the old unit covering addr.
-	oldOf := func(addr uint64) oldUnit {
-		u := oldSP.UnitOf(meta.BlockInChunk(addr))
-		return oldUnits[chunkBase+uint64(u.Block)*meta.BlockSize]
+	// oldOf returns the old unit covering block b of the chunk and its
+	// counter.
+	oldOf := func(b int) (meta.Unit, uint64) {
+		u := oldSP.UnitOf(b)
+		return u, oldCtrs[u.Block]
 	}
 
 	// Commit the new encoding so slot/unit resolution below uses it.
@@ -98,86 +82,51 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 
 	for _, u := range newSP.Units() {
 		base := chunkBase + uint64(u.Block)*meta.BlockSize
-		size := uint64(u.Blocks()) * meta.BlockSize
 		level := u.Gran.Level()
 		entry := m.geom.CounterEntryIndex(level, meta.BlockIndex(base))
 
-		cover := oldOf(base)
+		cover, coverCtr := oldOf(u.Block)
 		switch {
-		case cover.gran == u.Gran && cover.base == base:
+		case cover == u:
 			// Same unit; only its MAC slot may have moved. Untouched units
 			// have no MAC to move — sealing one would authenticate the
 			// zero ciphertext and break fresh-memory-reads-zero semantics.
-			if cover.ctr != 0 || !m.unitUntouched(base, u.Gran) {
-				m.sealUnitFromPlain(base, u.Gran, m.effectiveCtr(chunk, cover.ctr), plains)
+			if coverCtr != 0 || !m.unitUntouched(base, u.Gran) {
+				m.sealUnit(base, u.Gran, m.effectiveCtr(chunk, coverCtr))
 			}
 
-		//mutate:ignore swap-ineq an old unit of equal granularity covering base is base-aligned, so cover.base == base and the arm above takes every equal-gran case; >= versus > is unreachable
-		case cover.gran > u.Gran:
+		//mutate:ignore swap-ineq an old unit of equal granularity covering base is base-aligned, so cover == u and the arm above takes every equal-gran case; >= versus > is unreachable
+		case cover.Gran > u.Gran:
 			// Scale-down: children retain the parent counter value
 			// (Fig. 13 b), so ciphertext is still valid under the same
 			// (address, counter) pad; regenerate the finer MACs only.
 			m.Stats.Demotions++
-			m.writeCounter(level, entry, cover.ctr)
-			m.sealUnitFromPlain(base, u.Gran, m.effectiveCtr(chunk, cover.ctr), plains)
+			m.writeCounter(level, entry, coverCtr)
+			m.sealUnit(base, u.Gran, m.effectiveCtr(chunk, coverCtr))
 
 		default:
 			// Scale-up: the promoted counter becomes max of the covered
 			// old counters plus one (Fig. 13 a); all member blocks are
-			// re-encrypted under the fresh shared counter.
+			// re-encrypted under the fresh shared counter, never-written
+			// ones materialized as zeros so the nested MAC covers
+			// well-defined contents.
 			m.Stats.Promotions++
 			var maxCtr uint64
-			for a := base; a < base+size; a += meta.BlockSize {
-				if c := oldOf(a).ctr; c > maxCtr {
+			for b := u.Block; b < u.Block+u.Blocks(); b++ {
+				if _, c := oldOf(b); c > maxCtr {
 					maxCtr = c
+				}
+				if !m.held[b] {
+					m.plain[b] = [meta.BlockSize]byte{}
+					m.held[b] = true
 				}
 			}
 			newCtr := maxCtr + 1
-			newEff := m.effectiveCtr(chunk, newCtr)
-			// Materialize and re-encrypt every block of the unit from the
-			// captured plaintext so the nested MAC covers well-defined
-			// contents (zeros for never-written blocks).
-			for a := base; a < base+size; a += meta.BlockSize {
-				plain := plains[a]
-				if plain == nil {
-					plain = make([]byte, meta.BlockSize)
-				}
-				var ct [meta.BlockSize]byte
-				copy(ct[:], m.eng.Seal(a, newEff, plain))
-				m.data[a] = ct
-			}
 			m.writeCounter(level, entry, newCtr)
-			m.sealUnit(base, u.Gran, newEff)
+			m.sealUnit(base, u.Gran, m.effectiveCtr(chunk, newCtr))
 		}
 	}
 	return nil
-}
-
-// sealUnitFromPlain re-encrypts a unit's written blocks from plaintext
-// captured at verify time, writes the ciphertext back, and stores the
-// unit's MAC — never touching off-chip ciphertext mutated after the
-// verification. Blocks absent from the capture keep zero-ciphertext MAC
-// semantics (matching fineMACs) without being materialized.
-func (m *Memory) sealUnitFromPlain(base uint64, gran meta.Gran, eff uint64, plains map[uint64][]byte) {
-	sp := m.table.Current(meta.ChunkIndex(base))
-	fines := make([]crypto.MAC, gran.Blocks())
-	for i := range fines {
-		a := base + uint64(i*meta.BlockSize)
-		if pt, ok := plains[a]; ok {
-			var ct [meta.BlockSize]byte
-			copy(ct[:], m.eng.Seal(a, eff, pt))
-			m.data[a] = ct
-			fines[i] = m.eng.BlockMAC(a, eff, ct[:])
-		} else {
-			var zero [meta.BlockSize]byte
-			fines[i] = m.eng.BlockMAC(a, eff, zero[:])
-		}
-	}
-	if gran == meta.Gran64 {
-		m.macs[m.unitMACAddr(base, sp)] = fines[0]
-		return
-	}
-	m.macs[m.unitMACAddr(base, sp)] = m.eng.NestedMAC(fines)
 }
 
 // anyScaleUp reports whether the transition promotes any partition.
