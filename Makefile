@@ -82,19 +82,19 @@ cover:
 		if (t+0 > f+2.0) { printf "note: coverage is %.1f%%; consider raising coverage-floor.txt\n", t } }'
 
 # Performance smoke gate: one iteration of the sweep scheduler benchmarks
-# and of the per-layer crypto and secmem benchmarks, plus the
+# and of the per-layer cache, sim, crypto and secmem benchmarks, plus the
 # zero-allocation guards on the probe-off submit path, the MAC primitives
 # and the functional data path (the guards also run in plain `test`, so
 # `check` carries them). Catches "still correct but now allocates /
 # serializes" regressions without a full benchmark session; CI runs this
 # after `check` and uploads the machine-readable record (BENCH_smoke.json:
 # scheme, workers, ns/op, allocs/op, git SHA — see cmd/benchjson) as an
-# artifact.
+# artifact, stamped with the host's cpu/goos/goarch.
 SMOKE_GUARDS = TestSubmitSteadyStateZeroAlloc|TestMACsDoNotAllocate|TestDataPathAllocs
-SMOKE_BENCH = BenchmarkSweepWorkers|BenchmarkBlockMAC|BenchmarkNestedMAC512|BenchmarkNodeMAC|BenchmarkSeal|BenchmarkRead|BenchmarkWrite
+SMOKE_BENCH = BenchmarkSweepWorkers|BenchmarkCacheAccess|BenchmarkEventHeap|BenchmarkBlockMAC|BenchmarkNestedMAC512|BenchmarkNodeMAC|BenchmarkSeal|BenchmarkRead|BenchmarkWrite
 
 bench-smoke:
-	$(GO) test -run '$(SMOKE_GUARDS)' -bench '$(SMOKE_BENCH)' -benchtime 1x -benchmem . ./internal/core/ ./internal/crypto/ ./internal/secmem/ > bench-smoke.out \
+	$(GO) test -run '$(SMOKE_GUARDS)' -bench '$(SMOKE_BENCH)' -benchtime 1x -benchmem . ./internal/cache/ ./internal/core/ ./internal/crypto/ ./internal/secmem/ ./internal/sim/ > bench-smoke.out \
 		|| { cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
 	@cat bench-smoke.out
 	@mut=""; if [ -f mgmutate-report.json ]; then mut="-mutation mgmutate-report.json"; fi; \
@@ -125,3 +125,4 @@ fuzz:
 	$(GO) test -tags invariants -run '^$$' -fuzz FuzzGeometryEqs -fuzztime 30s ./internal/meta/
 	$(GO) test -tags invariants -run '^$$' -fuzz FuzzTrackerEviction -fuzztime 30s ./internal/tracker/
 	$(GO) test -tags invariants -run '^$$' -fuzz FuzzAttackCheck -fuzztime 30s ./internal/secmem/
+	$(GO) test -tags invariants -run '^$$' -fuzz FuzzProtectedBoundary -fuzztime 30s .

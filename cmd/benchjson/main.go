@@ -9,7 +9,9 @@
 // Each benchmark result line becomes one record carrying the parsed name
 // (worker count for the SweepWorkers pair, plus the scheme set those
 // benchmarks sweep), iterations, ns/op, and the -benchmem allocation
-// counters; the envelope stamps the git SHA and toolchain version.
+// counters; the envelope stamps the git SHA, the toolchain version and
+// the host identity `go test` prints (cpu, goos, goarch), so records from
+// different machines are not compared as if they were one.
 //
 // With -mutation <mgmutate-report.json> the envelope also carries a
 // mutation_score record distilled from the mgmutate report (seed, sample
@@ -60,10 +62,19 @@ type MutationScore struct {
 	Packages map[string]float64 `json:"packages"`
 }
 
+// Host identifies the machine the benchmarks ran on, from the header
+// lines `go test -bench` prints.
+type Host struct {
+	CPU    string `json:"cpu"`
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+}
+
 // File is the BENCH_smoke.json envelope.
 type File struct {
 	GitSHA        string         `json:"git_sha"`
 	GoVersion     string         `json:"go_version"`
+	Host          Host           `json:"host"`
 	Results       []Record       `json:"results"`
 	MutationScore *MutationScore `json:"mutation_score,omitempty"`
 }
@@ -144,11 +155,16 @@ func readMutation(path string) (*MutationScore, error) {
 }
 
 // Parse extracts benchmark result lines from `go test -bench` output,
-// preserving input order.
+// preserving input order, and the host identity from its header lines.
 func Parse(r io.Reader) (*File, error) {
 	f := &File{GoVersion: runtime.Version()}
+	header := map[string]*string{"cpu": &f.Host.CPU, "goos": &f.Host.GOOS, "goarch": &f.Host.GOARCH}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ": "); ok && header[k] != nil {
+			*header[k] = strings.TrimSpace(v)
+			continue
+		}
 		rec, ok := parseLine(sc.Text())
 		if ok {
 			f.Results = append(f.Results, rec)

@@ -8,6 +8,7 @@ import (
 const sample = `goos: linux
 goarch: amd64
 pkg: unimem
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSweepWorkers1-8      	       1	 987654321 ns/op	  123456 B/op	    2345 allocs/op
 BenchmarkSweepWorkersMax-8    	       1	 123456789 ns/op	  234567 B/op	    3456 allocs/op
 PASS
@@ -36,6 +37,10 @@ func TestParse(t *testing.T) {
 	if max.Name != "SweepWorkersMax" || max.Workers != 8 {
 		t.Errorf("Max record did not inherit procs as workers: %+v", max)
 	}
+	want := Host{CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", GOOS: "linux", GOARCH: "amd64"}
+	if f.Host != want {
+		t.Errorf("host = %+v, want %+v", f.Host, want)
+	}
 }
 
 func TestParseIgnoresNoise(t *testing.T) {
@@ -43,7 +48,7 @@ func TestParseIgnoresNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Results) != 0 {
-		t.Fatalf("noise parsed as results: %+v", f.Results)
+	if len(f.Results) != 0 || f.Host != (Host{}) {
+		t.Fatalf("noise parsed as results or host: %+v %+v", f.Results, f.Host)
 	}
 }

@@ -59,6 +59,10 @@ type Memory struct {
 	// Stats counts functional operations for tests and examples.
 	Stats Stats
 
+	// memo remembers the last input and result of every MAC computed
+	// (see memo.go).
+	memo memo
+
 	// Scratch the data path stages through, so steady-state reads and
 	// writes allocate nothing but the plaintext Read returns. Like its
 	// engine, a Memory is single-owner.
@@ -86,6 +90,12 @@ type Stats struct {
 	Demotions  uint64
 	Verified   uint64 // tree-node verifications performed
 	Overflows  uint64 // minor-counter saturations handled (overflow.go)
+
+	// MAC primitives computed by the engine or reused from the memo. A
+	// nested MAC over n fine MACs counts n steps.
+	BlockMACs   MACCount
+	NestedSteps MACCount
+	NodeMACs    MACCount
 }
 
 // New creates a protected memory of regionBytes (multiple of 32KB),
@@ -103,6 +113,7 @@ func New(regionBytes uint64, seed uint64) *Memory {
 		nodeMACs: map[uint64]crypto.MAC{},
 		roots:    make([]uint64, g.RootEntries()),
 		majors:   map[uint64]uint64{},
+		memo:     memo{pages: make([]*memoPage, g.Chunks()), nodes: map[uint64]*nodeRec{}},
 	}
 }
 
@@ -168,7 +179,7 @@ func (m *Memory) lineAddr(level int, line uint64) uint64 {
 func (m *Memory) sealLine(level int, line uint64, parentVal uint64) {
 	addr := m.lineAddr(level, line)
 	ents := m.lineEntries(level, line)
-	m.nodeMACs[addr] = m.eng.NodeMAC(addr, parentVal, ents[:])
+	m.nodeMACs[addr] = m.nodeMAC(addr, parentVal, &ents)
 }
 
 // verifyChain checks the tree from the counter line at startLevel covering
@@ -190,7 +201,7 @@ func (m *Memory) verifyChain(startLevel int, blockIdx uint64) error {
 		}
 		m.Stats.Verified++
 		ents := m.lineEntries(level, line)
-		want := m.eng.NodeMAC(addr, parentVal, ents[:])
+		want := m.nodeMAC(addr, parentVal, &ents)
 		if !crypto.Equal(stored, want) {
 			return fmt.Errorf("%w: level %d line %#x", ErrTree, level, addr)
 		}
@@ -231,7 +242,7 @@ func (m *Memory) fineMACs(base uint64, gran meta.Gran, ctr uint64) []crypto.MAC 
 	for i := range out {
 		blockAddr := base + uint64(i*meta.BlockSize)
 		ct := m.data[blockAddr]
-		out[i] = m.eng.BlockMAC(blockAddr, ctr, ct[:])
+		out[i] = m.blockMAC(blockAddr, ctr, &ct)
 	}
 	return out
 }
@@ -242,13 +253,13 @@ func (m *Memory) unitMACAddr(base uint64, sp meta.StreamPart) uint64 {
 	return a
 }
 
-// unitMAC returns the MAC a unit with these fine MACs stores: the fine
-// MAC itself at 64B, the nested MAC (Eq. 5) of coarse units.
-func (m *Memory) unitMAC(gran meta.Gran, fines []crypto.MAC) crypto.MAC {
+// unitMAC returns the MAC the unit at base with these fine MACs stores:
+// the fine MAC itself at 64B, the nested MAC (Eq. 5) of coarse units.
+func (m *Memory) unitMAC(base uint64, gran meta.Gran, fines []crypto.MAC) crypto.MAC {
 	if gran == meta.Gran64 {
 		return fines[0]
 	}
-	return m.eng.NestedMAC(fines)
+	return m.nestedMAC(base, gran, fines)
 }
 
 // captureUnit verifies one unit — the chain for freshness, the unit MAC
@@ -294,10 +305,10 @@ func (m *Memory) sealUnit(base uint64, gran meta.Gran, eff uint64) {
 			m.eng.SealInto(&ct, a, eff, m.plain[first+i][:])
 			m.data[a] = ct
 		}
-		fines[i] = m.eng.BlockMAC(a, eff, ct[:])
+		fines[i] = m.blockMAC(a, eff, &ct)
 	}
 	sp := m.table.Current(meta.ChunkIndex(base))
-	m.macs[m.unitMACAddr(base, sp)] = m.unitMAC(gran, fines)
+	m.macs[m.unitMACAddr(base, sp)] = m.unitMAC(base, gran, fines)
 }
 
 // verifyUnit authenticates the unit's stored ciphertext against its MAC
@@ -315,7 +326,7 @@ func (m *Memory) verifyUnit(base uint64, gran meta.Gran, sp meta.StreamPart, min
 		}
 		return fmt.Errorf("%w: missing MAC for unit %#x", ErrMAC, base)
 	}
-	if !crypto.Equal(stored, m.unitMAC(gran, m.fineMACs(base, gran, eff))) {
+	if !crypto.Equal(stored, m.unitMAC(base, gran, m.fineMACs(base, gran, eff))) {
 		return fmt.Errorf("%w: unit %#x (%v)", ErrMAC, base, gran)
 	}
 	return nil

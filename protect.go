@@ -1,6 +1,8 @@
 package unimem
 
 import (
+	"errors"
+	"fmt"
 	"io"
 
 	"unimem/internal/meta"
@@ -31,6 +33,10 @@ var (
 	ErrMAC = secmem.ErrMAC
 	// ErrTree reports counter tampering or replay (stale snapshots).
 	ErrTree = secmem.ErrTree
+	// ErrAddress reports a Read, Write or Verify whose address lies outside
+	// the image or is not 64B-aligned, or a Write whose plaintext is not
+	// one 64B block.
+	ErrAddress = errors.New("unimem: invalid block access")
 )
 
 // Protected is a functionally protected memory image: counter-mode
@@ -55,17 +61,40 @@ func NewProtected(size uint64, seed uint64) *Protected {
 
 // Write stores one aligned 64B block of plaintext. Writes into a
 // coarse-grained unit re-encrypt the unit under a fresh shared counter.
+// It fails with ErrAddress for a bad address or a plaintext that is not
+// 64 bytes.
 func (p *Protected) Write(addr uint64, plaintext []byte) error {
+	if err := p.checkAddr(addr); err != nil {
+		return err
+	}
+	if len(plaintext) != BlockSize {
+		return fmt.Errorf("%w: plaintext is %d bytes, want %d", ErrAddress, len(plaintext), BlockSize)
+	}
 	p.track(addr)
 	return p.mem.Write(addr, plaintext)
 }
 
 // Read fetches and verifies one aligned 64B block, returning its
 // plaintext. It fails with ErrMAC or ErrTree when the off-chip image was
-// corrupted.
+// corrupted, and with ErrAddress for a bad address.
 func (p *Protected) Read(addr uint64) ([]byte, error) {
+	if err := p.checkAddr(addr); err != nil {
+		return nil, err
+	}
 	p.track(addr)
 	return p.mem.Read(addr)
+}
+
+// checkAddr rejects an address the protection layer would panic on,
+// before the access tracker sees it.
+func (p *Protected) checkAddr(addr uint64) error {
+	if size := p.mem.Geometry().RegionBytes; addr >= size {
+		return fmt.Errorf("%w: address %#x outside the %d-byte image", ErrAddress, addr, size)
+	}
+	if addr%BlockSize != 0 {
+		return fmt.Errorf("%w: address %#x is not %d-byte aligned", ErrAddress, addr, BlockSize)
+	}
+	return nil
 }
 
 // track feeds the built-in access tracker; detections adjust granularity
@@ -114,8 +143,14 @@ func (p *Protected) TamperMAC(addr uint64) bool { return p.mem.TamperMAC(addr) }
 // lives on chip and is out of the attacker's reach.
 func (p *Protected) TamperCounter(addr uint64) bool { return p.mem.TamperCounter(addr) }
 
-// Verify checks integrity of the block at addr without returning data.
-func (p *Protected) Verify(addr uint64) error { return p.mem.Check(addr) }
+// Verify checks integrity of the block at addr without returning data. It
+// fails with ErrAddress for a bad address.
+func (p *Protected) Verify(addr uint64) error {
+	if err := p.checkAddr(addr); err != nil {
+		return err
+	}
+	return p.mem.Check(addr)
+}
 
 // Snapshot is an opaque capture of off-chip memory state.
 type Snapshot struct {
