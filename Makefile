@@ -15,8 +15,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Full rule set (expression-local + dataflow families) gated on the
-# checked-in baseline: a finding not listed there fails the build.
+# Full rule set (expression-local + module-wide families; unit domains are
+# types in internal/meta, so no rule checks them) gated on the checked-in
+# baseline: a finding not listed there fails the build.
 lint:
 	$(GO) run ./cmd/mglint -baseline .mglint-baseline.json ./...
 
@@ -82,19 +83,19 @@ cover:
 		if (t+0 > f+2.0) { printf "note: coverage is %.1f%%; consider raising coverage-floor.txt\n", t } }'
 
 # Performance smoke gate: one iteration of the sweep scheduler benchmarks
-# and of the per-layer cache, sim, crypto and secmem benchmarks, plus the
-# zero-allocation guards on the probe-off submit path, the MAC primitives
-# and the functional data path (the guards also run in plain `test`, so
-# `check` carries them). Catches "still correct but now allocates /
-# serializes" regressions without a full benchmark session; CI runs this
-# after `check` and uploads the machine-readable record (BENCH_smoke.json:
-# scheme, workers, ns/op, allocs/op, git SHA — see cmd/benchjson) as an
-# artifact, stamped with the host's cpu/goos/goarch.
+# and of the per-layer cache, sim, tree, tracker, crypto and secmem
+# benchmarks, plus the zero-allocation guards on the probe-off submit path,
+# the MAC primitives and the functional data path (the guards also run in
+# plain `test`, so `check` carries them). Catches "still correct but now
+# allocates / serializes" regressions without a full benchmark session; CI
+# runs this after `check` and uploads the machine-readable record
+# (BENCH_smoke.json: scheme, workers, ns/op, allocs/op, git SHA — see
+# cmd/benchjson) as an artifact, stamped with the host's cpu/goos/goarch.
 SMOKE_GUARDS = TestSubmitSteadyStateZeroAlloc|TestMACsDoNotAllocate|TestDataPathAllocs
-SMOKE_BENCH = BenchmarkSweepWorkers|BenchmarkCacheAccess|BenchmarkEventHeap|BenchmarkBlockMAC|BenchmarkNestedMAC512|BenchmarkNodeMAC|BenchmarkSeal|BenchmarkRead|BenchmarkWrite
+SMOKE_BENCH = BenchmarkSweepWorkers|BenchmarkCacheAccess|BenchmarkEventHeap|BenchmarkWalk|BenchmarkTrackerAccessRange|BenchmarkBlockMAC|BenchmarkNestedMAC512|BenchmarkNodeMAC|BenchmarkSeal|BenchmarkRead|BenchmarkWrite
 
 bench-smoke:
-	$(GO) test -run '$(SMOKE_GUARDS)' -bench '$(SMOKE_BENCH)' -benchtime 1x -benchmem . ./internal/cache/ ./internal/core/ ./internal/crypto/ ./internal/secmem/ ./internal/sim/ > bench-smoke.out \
+	$(GO) test -run '$(SMOKE_GUARDS)' -bench '$(SMOKE_BENCH)' -benchtime 1x -benchmem . ./internal/cache/ ./internal/core/ ./internal/crypto/ ./internal/secmem/ ./internal/sim/ ./internal/tracker/ ./internal/tree/ > bench-smoke.out \
 		|| { cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
 	@cat bench-smoke.out
 	@mut=""; if [ -f mgmutate-report.json ]; then mut="-mutation mgmutate-report.json"; fi; \

@@ -103,17 +103,13 @@ func BenchmarkTable2SwitchTypes(b *testing.B) {
 	cfg := benchCfg()
 	var correct float64
 	for i := 0; i < b.N; i++ {
-		var agg core.SwitchStats
+		var n, total uint64
 		for _, sc := range hetero.SampleScenarios(o.SampleN) {
 			s := hetero.Run(sc, core.Ours, cfg).Switches
-			agg.DownAll += s.DownAll
-			agg.UpWAR += s.UpWAR
-			agg.UpWAW += s.UpWAW
-			agg.UpRAR += s.UpRAR
-			agg.UpRAW += s.UpRAW
-			agg.Correct += s.Correct
+			n += s.Correct
+			total += s.Total()
 		}
-		correct = 100 * float64(agg.Correct) / float64(agg.Total())
+		correct = 100 * float64(n) / float64(total)
 	}
 	b.ReportMetric(correct, "correct-pct")
 }
@@ -125,7 +121,11 @@ func sweepBench(b *testing.B, schemes []core.Scheme, metrics func([]hetero.Sweep
 	cfg := benchCfg()
 	var rs []hetero.SweepResult
 	for i := 0; i < b.N; i++ {
-		rs = hetero.Sweep(hetero.SampleScenarios(o.SampleN), schemes, cfg)
+		var err error
+		rs, err = hetero.SweepParallel(context.Background(), hetero.SampleScenarios(o.SampleN), schemes, cfg, hetero.SweepOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	metrics(rs)
 }

@@ -1,9 +1,9 @@
 // Command mglint runs the repository's domain-aware static analyzers over
 // the module: the expression-local rules (magic-granularity, unit-mixing,
-// alignment, unchecked-return) and the module-wide dataflow rules
-// (unit-flow, determinism, probe-discipline, concurrency, hotpath-alloc) —
-// see internal/lint. It exits non-zero when any unsuppressed, un-baselined
-// finding remains, making it suitable as a CI gate:
+// alignment, unchecked-return) and the module-wide rules (determinism,
+// probe-discipline, concurrency, hotpath-alloc) — see internal/lint. It
+// exits non-zero when any unsuppressed, un-baselined finding remains,
+// making it suitable as a CI gate:
 //
 //	go run ./cmd/mglint -format sarif -baseline .mglint-baseline.json ./...
 //

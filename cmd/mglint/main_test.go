@@ -119,9 +119,18 @@ func TestListRules(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, rule := range []string{"unit-flow", "determinism", "probe-discipline", "magic-granularity"} {
+	for _, rule := range []string{"determinism", "probe-discipline", "magic-granularity", "hotpath-alloc"} {
 		if !strings.Contains(stdout, rule) {
 			t.Errorf("-list output missing %q:\n%s", rule, stdout)
 		}
+	}
+	// Unit domains are types in internal/meta now; the dataflow rule that
+	// reconstructed them is gone, and naming it is a usage error.
+	if strings.Contains(stdout, "unit-flow") {
+		t.Errorf("-list still offers the retired unit-flow rule:\n%s", stdout)
+	}
+	code, _, stderr := runCLI(t, "-rules", "unit-flow", fixture+"/...")
+	if code != 2 || !strings.Contains(stderr, "unknown rule") {
+		t.Errorf("-rules unit-flow: exit %d, stderr %q; want 2 and \"unknown rule\"", code, stderr)
 	}
 }

@@ -55,7 +55,7 @@ type campaign struct {
 	cfg     Config
 	r       *rng
 	v, twin victim
-	written map[uint64][]uint64 // written block addresses per chunk, in order
+	written map[meta.ChunkIdx][]uint64 // written block addresses per chunk, in order
 	res     Result
 }
 
@@ -72,7 +72,7 @@ func Run(cfg Config) Result {
 		r:       newRNG(cfg.Seed ^ uint64(cfg.Scheme)<<40 ^ uint64(cfg.Class)<<32),
 		v:       newVictim(prof, region, cfg.Seed),
 		twin:    newVictim(prof, region, cfg.Seed),
-		written: map[uint64][]uint64{},
+		written: map[meta.ChunkIdx][]uint64{},
 	}
 	c.warmup()
 	snap := c.prepareSnapshot()
@@ -156,7 +156,7 @@ func (c *campaign) phaseOps(phase string) {
 			addr := chunk*meta.ChunkSize + c.r.rangeN(meta.BlocksPerChunk)*meta.BlockSize
 			c.write(addr, byte(c.r.next()))
 		case pick < 8: // read a previously written block
-			addr := c.pickWritten(c.r.rangeN(uint64(c.cfg.Chunks)))
+			addr := c.pickWritten(meta.ChunkIdx(c.r.rangeN(uint64(c.cfg.Chunks))))
 			c.mirror(fmt.Sprintf("%s read %#x", phase, addr), func(v victim) error {
 				return v.Read(addr)
 			})
@@ -164,7 +164,7 @@ func (c *campaign) phaseOps(phase string) {
 			if !switching {
 				continue
 			}
-			p := int(c.r.rangeN(meta.PartsPerChunk))
+			p := meta.PartIdx(c.r.rangeN(meta.PartsPerChunk))
 			cur := c.v.CurrentSP(0)
 			sp := cur.PromoteMask(p, 1)
 			if cur.IsStream(p) {
@@ -180,20 +180,20 @@ func (c *campaign) phaseOps(phase string) {
 
 // pickWritten returns a written address of the chunk (every chunk has at
 // least its warmup write; fall back to block 0).
-func (c *campaign) pickWritten(chunk uint64) uint64 {
+func (c *campaign) pickWritten(chunk meta.ChunkIdx) uint64 {
 	ws := c.written[chunk]
 	if len(ws) == 0 {
-		return chunk * meta.ChunkSize
+		return chunk.Base()
 	}
 	return ws[int(c.r.rangeN(uint64(len(ws))))]
 }
 
 // firstWritten returns the chunk's first (warmup) write — a deterministic
 // attack target.
-func (c *campaign) firstWritten(chunk uint64) uint64 {
+func (c *campaign) firstWritten(chunk meta.ChunkIdx) uint64 {
 	ws := c.written[chunk]
 	if len(ws) == 0 {
-		return chunk * meta.ChunkSize
+		return chunk.Base()
 	}
 	return ws[0]
 }
@@ -229,7 +229,7 @@ func (c *campaign) attack(snap any) bool {
 		c.logf("attack counter-tamper %#x", t)
 		return v.TamperCounter(t)
 	case Splice:
-		a, b := c.firstWritten(1), c.firstWritten(uint64(c.cfg.Chunks-1))
+		a, b := c.firstWritten(1), c.firstWritten(meta.ChunkIdx(c.cfg.Chunks-1))
 		c.logf("attack splice %#x <-> %#x", a, b)
 		return v.Splice(a, b)
 	case XGranSplice:
@@ -274,16 +274,16 @@ func (c *campaign) attack(snap any) bool {
 // unit MAC covers every member block, so this authenticates all stored
 // state. It stops at the first detection.
 func (c *campaign) sweep() {
-	for chunk := uint64(0); chunk < uint64(c.cfg.Chunks); chunk++ {
+	for chunk := meta.ChunkIdx(0); chunk < meta.ChunkIdx(c.cfg.Chunks); chunk++ {
 		sp := c.v.CurrentSP(chunk)
-		for b := 0; b < meta.BlocksPerChunk; {
+		for b := meta.ChunkBlock(0); b < meta.BlocksPerChunk; {
 			u := sp.UnitOf(b)
-			addr := chunk*meta.ChunkSize + uint64(u.Block)*meta.BlockSize
+			addr := chunk.Base() + u.Block.Offset()
 			if err := c.v.Check(addr); err != nil {
 				c.detect(fmt.Sprintf("sweep %#x", addr), err)
 				return
 			}
-			b = u.Block + u.Blocks()
+			b = u.End()
 		}
 	}
 	c.logf("sweep clean")

@@ -28,16 +28,16 @@ type victim interface {
 	// Switch applies a granularity-switch detection for the chunk. hook,
 	// when non-nil, fires inside the lazy-switch window (models with one);
 	// the returned bool reports whether it fired.
-	Switch(chunk uint64, sp meta.StreamPart, hook func()) (bool, error)
+	Switch(chunk meta.ChunkIdx, sp meta.StreamPart, hook func()) (bool, error)
 	// CurrentSP returns the chunk's granularity encoding (0 without one).
-	CurrentSP(chunk uint64) meta.StreamPart
+	CurrentSP(chunk meta.ChunkIdx) meta.StreamPart
 
 	// Attack surface.
 	TamperData(addr uint64) bool
 	TamperMAC(addr uint64) bool
 	TamperCounter(addr uint64) bool
 	Splice(a, b uint64) bool
-	TamperTable(chunk uint64, sp meta.StreamPart) bool
+	TamperTable(chunk meta.ChunkIdx, sp meta.StreamPart) bool
 	Snapshot() any
 	Replay(snap any) bool
 	Rollback(snap any) bool
@@ -79,14 +79,14 @@ func (v *fullVictim) Read(addr uint64) error {
 
 func (v *fullVictim) Check(addr uint64) error { return v.mem.Check(addr) }
 
-func (v *fullVictim) Switch(chunk uint64, sp meta.StreamPart, hook func()) (bool, error) {
+func (v *fullVictim) Switch(chunk meta.ChunkIdx, sp meta.StreamPart, hook func()) (bool, error) {
 	if !v.switching {
 		return false, nil
 	}
 	fired := false
 	if hook != nil {
 		v.mem.SetProbe(probe.Func(func(e probe.Event) {
-			if e.Kind == probe.EvSwitchWindow && e.Addr == chunk*meta.ChunkSize {
+			if e.Kind == probe.EvSwitchWindow && e.Addr == chunk.Base() {
 				fired = true
 				hook()
 			}
@@ -96,14 +96,16 @@ func (v *fullVictim) Switch(chunk uint64, sp meta.StreamPart, hook func()) (bool
 	return fired, v.mem.ApplyDetection(chunk, sp)
 }
 
-func (v *fullVictim) CurrentSP(chunk uint64) meta.StreamPart { return v.mem.Table().Current(chunk) }
+func (v *fullVictim) CurrentSP(chunk meta.ChunkIdx) meta.StreamPart {
+	return v.mem.Table().Current(chunk)
+}
 
 func (v *fullVictim) TamperData(addr uint64) bool    { return v.mem.TamperData(addr) }
 func (v *fullVictim) TamperMAC(addr uint64) bool     { return v.mem.TamperMAC(addr) }
 func (v *fullVictim) TamperCounter(addr uint64) bool { return v.mem.TamperCounter(addr) }
 func (v *fullVictim) Splice(a, b uint64) bool        { return v.mem.SpliceData(a, b) }
 
-func (v *fullVictim) TamperTable(chunk uint64, sp meta.StreamPart) bool {
+func (v *fullVictim) TamperTable(chunk meta.ChunkIdx, sp meta.StreamPart) bool {
 	if !v.switching {
 		return false
 	}
@@ -183,8 +185,10 @@ func (v *macOnlyVictim) Check(addr uint64) error {
 	return nil
 }
 
-func (v *macOnlyVictim) Switch(uint64, meta.StreamPart, func()) (bool, error) { return false, nil }
-func (v *macOnlyVictim) CurrentSP(uint64) meta.StreamPart                     { return 0 }
+func (v *macOnlyVictim) Switch(meta.ChunkIdx, meta.StreamPart, func()) (bool, error) {
+	return false, nil
+}
+func (v *macOnlyVictim) CurrentSP(meta.ChunkIdx) meta.StreamPart { return 0 }
 
 func (v *macOnlyVictim) TamperData(addr uint64) bool {
 	blk := addr &^ (meta.BlockSize - 1)
@@ -219,7 +223,7 @@ func (v *macOnlyVictim) Splice(a, b uint64) bool {
 }
 
 // TamperTable is impossible: the design has no granularity table.
-func (v *macOnlyVictim) TamperTable(uint64, meta.StreamPart) bool { return false }
+func (v *macOnlyVictim) TamperTable(meta.ChunkIdx, meta.StreamPart) bool { return false }
 
 func (v *macOnlyVictim) Snapshot() any {
 	return &macOnlySnapshot{data: maps.Clone(v.data), macs: maps.Clone(v.macs)}
@@ -260,8 +264,10 @@ func (v *unsecureVictim) Write(addr uint64, data []byte) error {
 func (v *unsecureVictim) Read(uint64) error  { return nil }
 func (v *unsecureVictim) Check(uint64) error { return nil }
 
-func (v *unsecureVictim) Switch(uint64, meta.StreamPart, func()) (bool, error) { return false, nil }
-func (v *unsecureVictim) CurrentSP(uint64) meta.StreamPart                     { return 0 }
+func (v *unsecureVictim) Switch(meta.ChunkIdx, meta.StreamPart, func()) (bool, error) {
+	return false, nil
+}
+func (v *unsecureVictim) CurrentSP(meta.ChunkIdx) meta.StreamPart { return 0 }
 
 func (v *unsecureVictim) TamperData(addr uint64) bool {
 	blk := addr &^ (meta.BlockSize - 1)
@@ -272,9 +278,9 @@ func (v *unsecureVictim) TamperData(addr uint64) bool {
 }
 
 // No MACs, counters or table exist to tamper with.
-func (v *unsecureVictim) TamperMAC(uint64) bool                    { return false }
-func (v *unsecureVictim) TamperCounter(uint64) bool                { return false }
-func (v *unsecureVictim) TamperTable(uint64, meta.StreamPart) bool { return false }
+func (v *unsecureVictim) TamperMAC(uint64) bool                           { return false }
+func (v *unsecureVictim) TamperCounter(uint64) bool                       { return false }
+func (v *unsecureVictim) TamperTable(meta.ChunkIdx, meta.StreamPart) bool { return false }
 
 func (v *unsecureVictim) Splice(a, b uint64) bool {
 	if a == b {

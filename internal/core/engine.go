@@ -91,6 +91,9 @@ func (o *Options) fill() {
 }
 
 // SwitchStats counts granularity-switch events by the Table 2 taxonomy.
+// Field X holds the count of class probe.SwX; countSwitch is its only
+// writer (mglint probe-discipline), so every count has its probe event.
+// Correct counts requests that needed no switch, a non-event.
 type SwitchStats struct {
 	// Counter/tree side.
 	DownAll uint64 // coarse->fine, all types: zero cost (lazy switching)
@@ -109,6 +112,15 @@ type SwitchStats struct {
 // Total returns all classified requests (switching + correct).
 func (s *SwitchStats) Total() uint64 {
 	return s.DownAll + s.UpWAR + s.UpWAW + s.UpRAR + s.UpRAW + s.Correct
+}
+
+// Of returns the count of switch class c.
+func (s SwitchStats) Of(c probe.SwitchClass) uint64 {
+	return [...]uint64{
+		probe.SwDownAll: s.DownAll, probe.SwUpWAR: s.UpWAR, probe.SwUpWAW: s.UpWAW,
+		probe.SwUpRAR: s.UpRAR, probe.SwUpRAW: s.UpRAW, probe.SwMACDownRO: s.MACDownRO,
+		probe.SwMACDownRW: s.MACDownRW, probe.SwMACUpLazy: s.MACUpLazy,
+	}[c]
 }
 
 // Stats aggregates engine activity.
@@ -149,9 +161,9 @@ type Engine struct {
 
 	prb probe.Probe // nil = observability off (the hot-path default)
 
-	lastWrite    map[uint64]bool // last access type per chunk
-	writtenParts map[uint64]uint64
-	demoteVotes  map[uint64]meta.StreamPart // demotion hysteresis per chunk
+	lastWrite    map[meta.ChunkIdx]bool // last access type per chunk
+	writtenParts map[meta.ChunkIdx]uint64
+	demoteVotes  map[meta.ChunkIdx]meta.StreamPart // demotion hysteresis per chunk
 
 	cryptoPs sim.Time
 
@@ -188,9 +200,9 @@ func New(se *sim.Engine, mm *mem.Memory, regionBytes uint64, scheme Scheme, opts
 		spec:         spec,
 		opts:         opts,
 		prb:          opts.Probe,
-		lastWrite:    map[uint64]bool{},
-		writtenParts: map[uint64]uint64{},
-		demoteVotes:  map[uint64]meta.StreamPart{},
+		lastWrite:    map[meta.ChunkIdx]bool{},
+		writtenParts: map[meta.ChunkIdx]uint64{},
+		demoteVotes:  map[meta.ChunkIdx]meta.StreamPart{},
 		cryptoPs:     opts.OTPPs + opts.XORPs,
 		perDev:       make([]DeviceStats, opts.Devices),
 	}

@@ -6,6 +6,7 @@ import (
 
 	"unimem/internal/mem"
 	"unimem/internal/meta"
+	"unimem/internal/probe"
 	"unimem/internal/sim"
 )
 
@@ -390,5 +391,28 @@ func TestSwitchStatsTotal(t *testing.T) {
 	s := SwitchStats{DownAll: 1, UpWAR: 2, UpWAW: 3, UpRAR: 4, UpRAW: 5, Correct: 10}
 	if s.Total() != 25 {
 		t.Fatalf("total = %d, want 25", s.Total())
+	}
+}
+
+// TestCountSwitchPairsCountAndEvent: each countSwitch bumps exactly the
+// field of its class and emits one EvSwitch event of that class.
+func TestCountSwitchPairsCountAndEvent(t *testing.T) {
+	for c := probe.SwitchClass(0); int(c) < probe.NumSwitchClasses; c++ {
+		var got []probe.Event
+		en := newRig(Ours, Options{Probe: probe.Func(func(e probe.Event) { got = append(got, e) })}).en
+		en.countSwitch(Request{Addr: 0x8000, Device: 1}, c)
+		for o := probe.SwitchClass(0); int(o) < probe.NumSwitchClasses; o++ {
+			want := uint64(0)
+			if o == c {
+				want = 1
+			}
+			if n := en.Stats.Switches.Of(o); n != want {
+				t.Fatalf("after one %v switch, Of(%v) = %d (stats %+v)", c, o, n, en.Stats.Switches)
+			}
+		}
+		if len(got) != 1 || got[0].Kind != probe.EvSwitch || probe.SwitchClass(got[0].Class) != c ||
+			got[0].Addr != 0x8000 || got[0].Device != 1 {
+			t.Fatalf("%v switch emitted %+v", c, got)
+		}
 	}
 }

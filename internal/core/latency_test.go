@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"unimem/internal/meta"
+	"unimem/internal/sim"
 )
 
 func TestLatencyHistogram(t *testing.T) {
@@ -20,6 +21,12 @@ func TestLatencyHistogram(t *testing.T) {
 	}
 	if p := h.Percentile(100); p != 1<<(latencyBuckets-1) {
 		t.Fatalf("p100 = %d", p)
+	}
+	// The first latency one bucket past the last one folds into it.
+	var edge LatencyHistogram
+	edge.Add(sim.Time(1<<latencyBuckets) * 1000 / 2) // 2^23 ns: bits.Len64 is 24
+	if edge[latencyBuckets-1] != 1 {
+		t.Fatalf("2^23ns landed in %v, want the last bucket", edge)
 	}
 	var empty LatencyHistogram
 	if empty.Percentile(50) != 0 {

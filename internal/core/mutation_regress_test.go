@@ -142,3 +142,33 @@ func TestScaleDownFetchStaysInsideChunk(t *testing.T) {
 		}
 	}
 }
+
+// Kills the negate-cond mutant on the write-only counter-unit expansion
+// (pipeline.go, stage 5): under Multi(CTR)-only the counters follow the
+// table while MACs stay 64B, so only the counter units can widen the data
+// span. A cold sub-unit write into a 32KB counter unit must fetch the unit
+// (read-modify of the shared counter's span); a read must not, since its
+// 64B MAC verifies alone.
+func TestCounterUnitsWidenWritesOnly(t *testing.T) {
+	promoted := func() *rig {
+		r := newRig(MultiCTROnly, Options{})
+		r.do(Request{Addr: 0, Size: meta.ChunkSize}) // stream read -> detection
+		r.do(Request{Addr: 0, Size: meta.ChunkSize}) // commits 32KB counters
+		if g := r.en.Table().Current(0).GranOfBlock(5); g != meta.Gran32K {
+			t.Fatalf("chunk 0 at %v, want 32KB", g)
+		}
+		return r
+	}
+	w := promoted()
+	before := w.en.Stats.OverfetchBeats
+	w.do(Request{Addr: 5 * meta.BlockSize, Size: meta.BlockSize, Write: true})
+	if w.en.Stats.OverfetchBeats == before {
+		t.Fatal("cold sub-unit write into a 32KB counter unit fetched no extra beats")
+	}
+	r := promoted()
+	before = r.en.Stats.OverfetchBeats
+	r.do(Request{Addr: 5 * meta.BlockSize, Size: meta.BlockSize})
+	if r.en.Stats.OverfetchBeats != before {
+		t.Fatalf("64B read overfetched %d beats through counter units", r.en.Stats.OverfetchBeats-before)
+	}
+}

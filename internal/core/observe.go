@@ -118,10 +118,30 @@ func (e *Engine) probeMAC(dev int, lineAddr uint64, merged bool) {
 	})
 }
 
-// probeSwitch reports a charged granularity switch with its Table 2 class.
-// Emission sites mirror the SwitchStats increments exactly, so a collector
-// and Stats.Switches always agree.
-func (e *Engine) probeSwitch(r Request, class probe.SwitchClass) {
+// countSwitch charges one granularity switch of a Table 2 class and
+// reports it as an EvSwitch event. It is the only writer of the
+// Stats.Switches class counts (mglint probe-discipline), so a collector and
+// Stats.Switches always agree.
+func (e *Engine) countSwitch(r Request, class probe.SwitchClass) {
+	s := &e.Stats.Switches
+	switch class {
+	case probe.SwDownAll:
+		s.DownAll++
+	case probe.SwUpWAR:
+		s.UpWAR++
+	case probe.SwUpWAW:
+		s.UpWAW++
+	case probe.SwUpRAR:
+		s.UpRAR++
+	case probe.SwUpRAW:
+		s.UpRAW++
+	case probe.SwMACDownRO:
+		s.MACDownRO++
+	case probe.SwMACDownRW:
+		s.MACDownRW++
+	case probe.SwMACUpLazy:
+		s.MACUpLazy++
+	}
 	if e.prb == nil {
 		return
 	}
@@ -136,7 +156,7 @@ func (e *Engine) probeSwitch(r Request, class probe.SwitchClass) {
 // mirrors Stats.Detections exactly, so external observers (attack
 // campaigns, collectors) see every routed detection without reaching into
 // the pipeline.
-func (e *Engine) probeDetect(chunk uint64, sp meta.StreamPart, consumed bool) {
+func (e *Engine) probeDetect(chunk meta.ChunkIdx, sp meta.StreamPart, consumed bool) {
 	if e.prb == nil {
 		return
 	}
@@ -146,7 +166,7 @@ func (e *Engine) probeDetect(chunk uint64, sp meta.StreamPart, consumed bool) {
 	}
 	e.prb.Event(probe.Event{
 		At: e.se.Now(), Kind: probe.EvDetect,
-		Addr: chunk * meta.ChunkSize, Val: v, Aux: int64(sp),
+		Addr: chunk.Base(), Val: v, Aux: int64(sp),
 	})
 }
 

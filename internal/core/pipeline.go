@@ -444,7 +444,7 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 // supply the rest); requests hitting an open unit continue it; only a cold,
 // unaligned access into a coarse unit — a misprediction in the paper's
 // terms — pays the whole-unit fetch.
-func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fineMACFallback bool) {
+func (e *Engine) expandUnit(op *chunkOp, chunk meta.ChunkIdx, chunkBase uint64, u unitSpan, fineMACFallback bool) {
 	r := op.r
 	if u.gran == meta.Gran64 {
 		return
@@ -499,13 +499,11 @@ func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fi
 		op.rmw = true
 	}
 	if e.table != nil && !e.spec.Oracle {
-		firstPart := (u.base - chunkBase) / meta.PartitionSize
 		parts := u.gran.Blocks() / meta.BlocksPerPartition
-		cur := e.table.Current(chunk).DemoteMask(int(firstPart), parts)
+		cur := e.table.Current(chunk).DemoteMask(meta.PartIndex(u.base), parts)
 		e.table.SetNext(chunk, cur)
 		e.table.CommitAll(chunk)
-		e.Stats.Switches.MACDownRW++
-		e.probeSwitch(r, probe.SwMACDownRW)
+		e.countSwitch(r, probe.SwMACDownRW)
 	}
 }
 
@@ -515,7 +513,7 @@ type fetchOp struct {
 }
 
 // walkUnit runs the tree walk for one unit.
-func (e *Engine) walkUnit(blockIdx uint64, g meta.Gran, write bool) tree.Walk {
+func (e *Engine) walkUnit(blockIdx meta.BlockIdx, g meta.Gran, write bool) tree.Walk {
 	if write {
 		return e.walker.Write(blockIdx, g.Level())
 	}
@@ -533,9 +531,9 @@ func appendUnits(dst []unitSpan, sp meta.StreamPart, chunkBase uint64, r Request
 		return dst
 	}
 	for addr := r.Addr; addr < end; {
-		u := sp.UnitOf(int((addr - chunkBase) / meta.BlockSize))
+		u := sp.UnitOf(meta.BlockInChunk(addr))
 		g := u.Gran
-		base := chunkBase + uint64(u.Block)*meta.BlockSize
+		base := chunkBase + u.Block.Offset()
 		if g > rule.cap {
 			g = rule.cap
 			base = meta.AlignGran(addr, g)

@@ -33,7 +33,7 @@ type macOnlyPolicy struct {
 }
 
 // CounterMode implements Policy.
-func (p *macOnlyPolicy) CounterMode(Request, uint64) CounterMode { return CounterSkip }
+func (p *macOnlyPolicy) CounterMode(Request, meta.ChunkIdx) CounterMode { return CounterSkip }
 
 // commonCTRPolicy models Na et al. [35]: chunks classified all-stream join
 // a limited set of treeless on-chip shared counters; everything else walks
@@ -41,12 +41,12 @@ func (p *macOnlyPolicy) CounterMode(Request, uint64) CounterMode { return Counte
 // the CounterMode/OnDetection seams.
 type commonCTRPolicy struct {
 	basePolicy
-	shared map[uint64]bool
+	shared map[meta.ChunkIdx]bool
 	limit  int
 }
 
 // CounterMode implements Policy.
-func (p *commonCTRPolicy) CounterMode(r Request, chunk uint64) CounterMode {
+func (p *commonCTRPolicy) CounterMode(r Request, chunk meta.ChunkIdx) CounterMode {
 	if p.shared[chunk] {
 		return CounterShared
 	}
@@ -55,7 +55,7 @@ func (p *commonCTRPolicy) CounterMode(r Request, chunk uint64) CounterMode {
 
 // OnDetection implements Policy: all-stream chunks enter the shared set
 // while it has room; anything finer evicts the chunk back to the tree.
-func (p *commonCTRPolicy) OnDetection(chunk uint64, sp meta.StreamPart) bool {
+func (p *commonCTRPolicy) OnDetection(chunk meta.ChunkIdx, sp meta.StreamPart) bool {
 	if sp == meta.AllStream {
 		if p.shared[chunk] || len(p.shared) < p.limit {
 			p.shared[chunk] = true
@@ -77,7 +77,7 @@ type mgxPolicy struct {
 }
 
 // CounterMode implements Policy.
-func (p *mgxPolicy) CounterMode(r Request, chunk uint64) CounterMode {
+func (p *mgxPolicy) CounterMode(r Request, chunk meta.ChunkIdx) CounterMode {
 	if r.Device != cpuDevice {
 		return CounterSkip
 	}

@@ -61,17 +61,17 @@ type Policy interface {
 	// sides of a request from the given device.
 	GranRules(device int) (ctr, mac granRule)
 	// MACLine resolves the 64B MAC line holding a unit's MAC.
-	MACLine(geom *meta.Geometry, chunk, chunkBase uint64, sp meta.StreamPart, u unitSpan, rule granRule) uint64
+	MACLine(geom *meta.Geometry, chunk meta.ChunkIdx, chunkBase uint64, sp meta.StreamPart, u unitSpan, rule granRule) uint64
 	// TreeConfig returns the integrity-tree walker configuration (subtree
 	// caching, unused-region pruning).
 	TreeConfig() tree.Config
 	// CounterMode decides how a request sources the counters of one chunk.
 	// It is evaluated once per chunk, after pending detections applied.
-	CounterMode(r Request, chunk uint64) CounterMode
+	CounterMode(r Request, chunk meta.ChunkIdx) CounterMode
 	// OnDetection routes one merged+clamped detection. Returning true
 	// consumes it (the engine skips the granularity-table update);
 	// returning false lands it in the table as usual.
-	OnDetection(chunk uint64, sp meta.StreamPart) bool
+	OnDetection(chunk meta.ChunkIdx, sp meta.StreamPart) bool
 }
 
 // granRule describes how units are derived for one metadata side.
@@ -103,7 +103,7 @@ func (p *basePolicy) GranRules(int) (ctr, mac granRule) { return p.ctr, p.mac }
 // (Ours family) use the Fig. 9 layout through the stream-part encoding;
 // fixed and capped schemes use the flat per-block layout (slot = block
 // index within chunk).
-func (p *basePolicy) MACLine(geom *meta.Geometry, chunk, chunkBase uint64, sp meta.StreamPart, u unitSpan, rule granRule) uint64 {
+func (p *basePolicy) MACLine(geom *meta.Geometry, chunk meta.ChunkIdx, chunkBase uint64, sp meta.StreamPart, u unitSpan, rule granRule) uint64 {
 	if rule.table && rule.cap == meta.Gran32K {
 		addr, _ := geom.MACAddrFor(u.base, sp)
 		return meta.AlignBlock(addr)
@@ -116,7 +116,7 @@ func (p *basePolicy) MACLine(geom *meta.Geometry, chunk, chunkBase uint64, sp me
 func (p *basePolicy) TreeConfig() tree.Config { return p.treeCfg }
 
 // CounterMode implements Policy.
-func (p *basePolicy) CounterMode(Request, uint64) CounterMode { return CounterWalk }
+func (p *basePolicy) CounterMode(Request, meta.ChunkIdx) CounterMode { return CounterWalk }
 
 // OnDetection implements Policy.
-func (p *basePolicy) OnDetection(uint64, meta.StreamPart) bool { return false }
+func (p *basePolicy) OnDetection(meta.ChunkIdx, meta.StreamPart) bool { return false }

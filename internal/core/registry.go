@@ -63,7 +63,7 @@ var registry = [nSchemes]schemeEntry{
 				spec: Spec{Protect: true, UseTable: true, Detect: true, DualOnly: true},
 				ctr:  fixed64, mac: fixed64,
 			},
-			shared: map[uint64]bool{},
+			shared: map[meta.ChunkIdx]bool{},
 			limit:  o.CommonCTRLimit,
 		}
 	}},

@@ -85,13 +85,13 @@ func refuteMask(prev, touched meta.StreamPart) meta.StreamPart {
 // handleSwitches applies pending lazy granularity switches for the units a
 // request touches and charges the Table 2 costs. Requests that needed no
 // switch count as correct predictions.
-func (e *Engine) handleSwitches(r Request, chunk, chunkBase uint64, op *chunkOp) {
+func (e *Engine) handleSwitches(r Request, chunk meta.ChunkIdx, chunkBase uint64, op *chunkOp) {
 	firstPart := meta.PartIndex(r.Addr)
 	lastPart := meta.PartIndex(r.Addr + uint64(r.Size) - 1)
 	classified := false
 	switched := false
 	for p := firstPart; p <= lastPart; p++ {
-		b := p * meta.BlocksPerPartition
+		b := p.FirstBlock()
 		if !e.table.Pending(chunk, b) {
 			continue
 		}
@@ -105,7 +105,7 @@ func (e *Engine) handleSwitches(r Request, chunk, chunkBase uint64, op *chunkOp)
 		}
 		// The unit's metadata moved: stale cached lines for the old layout
 		// are dropped (models the address-computation change of Eq. 1-4).
-		e.openUnits.Invalidate(chunkBase + uint64(b)*meta.BlockSize)
+		e.openUnits.Invalidate(chunkBase + b.Offset())
 	}
 	if !switched {
 		e.Stats.Switches.Correct++
@@ -113,7 +113,7 @@ func (e *Engine) handleSwitches(r Request, chunk, chunkBase uint64, op *chunkOp)
 }
 
 // chargeSwitch implements the Table 2 cost matrix for one switched unit.
-func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, to meta.Gran, op *chunkOp, classified *bool) {
+func (e *Engine) chargeSwitch(r Request, chunk meta.ChunkIdx, chunkBase uint64, b meta.ChunkBlock, from, to meta.Gran, op *chunkOp, classified *bool) {
 	if check.Enabled {
 		check.Assertf(from != to, "chargeSwitch for a non-switch at chunk %d block %d", chunk, b)
 		check.Assertf(b >= 0 && b < meta.BlocksPerChunk, "switch block %d outside chunk", b)
@@ -121,7 +121,7 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 			"switch between invalid granularities %v -> %v", from, to)
 	}
 	lastW := e.lastWrite[chunk]
-	blockIdx := meta.BlockIndex(chunkBase + uint64(b)*meta.BlockSize)
+	blockIdx := chunk.Block(b)
 
 	// Counter / integrity-tree side.
 	if e.spec.MultiCTR {
@@ -129,20 +129,17 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 			// Scale-down: zero additional fetches — the retained counter
 			// value means following accesses fetch what they need anyway.
 			if !*classified {
-				e.Stats.Switches.DownAll++
-				e.probeSwitch(r, probe.SwDownAll)
+				e.countSwitch(r, probe.SwDownAll)
 			}
 		} else {
 			switch {
 			case r.Write && !lastW:
 				if !*classified {
-					e.Stats.Switches.UpWAR++
-					e.probeSwitch(r, probe.SwUpWAR)
+					e.countSwitch(r, probe.SwUpWAR)
 				}
 			case r.Write && lastW:
 				if !*classified {
-					e.Stats.Switches.UpWAW++
-					e.probeSwitch(r, probe.SwUpWAW)
+					e.countSwitch(r, probe.SwUpWAW)
 				}
 			default:
 				// Reads must establish the promoted counter: fetch from the
@@ -151,11 +148,9 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 				// they are fetched from memory.
 				if !*classified {
 					if lastW {
-						e.Stats.Switches.UpRAW++
-						e.probeSwitch(r, probe.SwUpRAW)
+						e.countSwitch(r, probe.SwUpRAW)
 					} else {
-						e.Stats.Switches.UpRAR++
-						e.probeSwitch(r, probe.SwUpRAR)
+						e.countSwitch(r, probe.SwUpRAR)
 					}
 				}
 				walk := e.walker.Write(blockIdx, to.Level())
@@ -172,14 +167,14 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 	// MAC side.
 	if e.spec.MultiMAC {
 		if to < from {
-			unitMask := partMask(chunkBase, chunkBase+uint64(b&^(from.Blocks()-1))*meta.BlockSize, int(from.Bytes()))
+			unitBase := chunkBase + b.Align(from).Offset()
+			unitMask := partMask(chunkBase, unitBase, int(from.Bytes()))
 			readOnly := e.writtenParts[chunk]&unitMask == 0
 			if readOnly {
 				// Fine MACs of read-only data are kept in the unprotected
 				// region (section 4.4): fetch them, nothing else.
 				if !*classified {
-					e.Stats.Switches.MACDownRO++
-					e.probeSwitch(r, probe.SwMACDownRO)
+					e.countSwitch(r, probe.SwMACDownRO)
 				}
 				for _, lineAddr := range e.fineMACLines(chunk, b, from) {
 					e.memRead(r.Device, lineAddr, 64, mem.MAC, op.slot())
@@ -188,16 +183,13 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 				// Written data: the whole unit must be fetched to recompute
 				// fine MACs (the "Moderate" row of Table 2).
 				if !*classified {
-					e.Stats.Switches.MACDownRW++
-					e.probeSwitch(r, probe.SwMACDownRW)
+					e.countSwitch(r, probe.SwMACDownRW)
 				}
-				base := chunkBase + uint64(b&^(from.Blocks()-1))*meta.BlockSize
-				e.memRead(r.Device, base, int(from.Bytes()), mem.Switch, op.slot())
+				e.memRead(r.Device, unitBase, int(from.Bytes()), mem.Switch, op.slot())
 			}
 		} else {
 			if !*classified {
-				e.Stats.Switches.MACUpLazy++
-				e.probeSwitch(r, probe.SwMACUpLazy)
+				e.countSwitch(r, probe.SwMACUpLazy)
 			}
 		}
 	}
@@ -211,8 +203,8 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 // the unit, and anchoring at b would fetch lines past the unit (an earlier
 // version wrapped them modulo the chunk, fetching another unit's MACs).
 // The returned slice is engine-owned scratch, valid until the next call.
-func (e *Engine) fineMACLines(chunk uint64, b int, from meta.Gran) []uint64 {
-	base := b &^ (from.Blocks() - 1)
+func (e *Engine) fineMACLines(chunk meta.ChunkIdx, b meta.ChunkBlock, from meta.Gran) []uint64 {
+	base := int(b.Align(from)) // flat layout: the fine MAC slot is the block in chunk
 	lines := from.Blocks() / meta.MACsPerLine
 	if lines < 1 {
 		lines = 1
@@ -229,6 +221,6 @@ func (e *Engine) fineMACLines(chunk uint64, b int, from meta.Gran) []uint64 {
 // traffic accounting (the evicted line's true address is not tracked by
 // the tag cache; using the walk's leaf line keeps channel balance).
 // CounterLineAddr returns 64B line addresses by construction.
-func a64Base(e *Engine, blockIdx uint64) uint64 {
+func a64Base(e *Engine, blockIdx meta.BlockIdx) uint64 {
 	return e.geom.CounterLineAddr(0, blockIdx)
 }

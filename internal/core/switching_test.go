@@ -20,7 +20,7 @@ func TestFineMACLinesAnchoredAtUnitBase(t *testing.T) {
 	const chunk = 3
 	for _, tc := range []struct {
 		name string
-		b    int // triggering partition's first block within the chunk
+		b    meta.ChunkBlock // triggering partition's first block within the chunk
 		from meta.Gran
 	}{
 		{"gran4k-last-partition", 7*64 + 56, meta.Gran4K},
@@ -29,7 +29,7 @@ func TestFineMACLinesAnchoredAtUnitBase(t *testing.T) {
 		{"gran512-mid-chunk", 264, meta.Gran512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := tc.b &^ (tc.from.Blocks() - 1)
+			base := int(tc.b.Align(tc.from))
 			wantLines := tc.from.Blocks() / meta.MACsPerLine
 			if wantLines < 1 {
 				wantLines = 1

@@ -72,6 +72,21 @@ func TestBlockMACDetectsTamper(t *testing.T) {
 	}
 }
 
+// TestBlockMACCoversEveryByte: the MAC input is staged through a 64B
+// buffer, and a ciphertext whose length leaves a short final piece must
+// still have every byte bound, the last one included.
+func TestBlockMACCoversEveryByte(t *testing.T) {
+	e := NewEngine(3)
+	for _, n := range []int{1, 2, BlockSize - 1, BlockSize + 1, 2*BlockSize + 1} {
+		ct := make([]byte, n)
+		m := e.BlockMAC(0x80, 9, ct)
+		ct[n-1] ^= 1
+		if Equal(m, e.BlockMAC(0x80, 9, ct)) {
+			t.Fatalf("%d-byte ciphertext: a flip of the last byte is not reflected in the MAC", n)
+		}
+	}
+}
+
 func TestBlockMACBindsAddressAndCounter(t *testing.T) {
 	e := NewEngine(3)
 	ct := make([]byte, BlockSize)

@@ -1,6 +1,7 @@
 package hetero
 
 import (
+	"context"
 	"testing"
 
 	"unimem/internal/core"
@@ -20,7 +21,10 @@ func TestHeadlineNumbers(t *testing.T) {
 		core.Conventional, core.MultiCTROnly, core.Ours,
 		core.Adaptive, core.CommonCTR, core.BMFUnused, core.BMFUnusedOurs,
 	}
-	rs := Sweep(SampleScenarios(16), schemes, cfg)
+	rs, err := SweepParallel(context.Background(), SampleScenarios(16), schemes, cfg, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	conv := MeanAcross(rs, core.Conventional)
 	ours := MeanAcross(rs, core.Ours)

@@ -1,6 +1,7 @@
 package hetero
 
 import (
+	"context"
 	"testing"
 
 	"unimem/internal/core"
@@ -117,7 +118,10 @@ func TestOursBeatsConventionalOnCoarseScenario(t *testing.T) {
 func TestSweepStructure(t *testing.T) {
 	scs := SelectedScenarios()[:2]
 	schemes := []core.Scheme{core.Conventional, core.Ours}
-	rs := Sweep(scs, schemes, testCfg)
+	rs, err := SweepParallel(context.Background(), scs, schemes, testCfg, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rs) != 2 {
 		t.Fatalf("sweep results = %d", len(rs))
 	}

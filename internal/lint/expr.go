@@ -155,3 +155,16 @@ func isMetaCall(p *Package, call *ast.CallExpr) bool {
 	f := calleeFunc(p, call)
 	return f != nil && f.Pkg() != nil && f.Pkg().Path() == metaPath
 }
+
+// lhsObject resolves the object a plain identifier assignment target names
+// (nil for stores through selectors and indexes).
+func lhsObject(p *Package, e ast.Expr) types.Object {
+	id, ok := unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if obj := p.Info.Defs[id]; obj != nil {
+		return obj
+	}
+	return p.Info.Uses[id]
+}

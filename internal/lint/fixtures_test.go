@@ -17,7 +17,6 @@ var update = flag.Bool("update", false, "rewrite testdata want.txt goldens")
 // fixtureRules maps a fixture directory prefix to the rule family it
 // exercises, so each seeded violation is attributed to exactly one rule.
 var fixtureRules = map[string][]string{
-	"unitflow":    {"unit-flow"},
 	"determinism": {"determinism"},
 	"probes":      {"probe-discipline"},
 	"concurrency": {"concurrency"},
@@ -78,8 +77,8 @@ func TestFixtures(t *testing.T) {
 			}
 		})
 	}
-	if ran < 10 {
-		t.Errorf("only %d fixtures ran, want at least 10", ran)
+	if want := 2 * len(fixtureRules); ran < want {
+		t.Errorf("only %d fixtures ran, want a _bad and a _clean one per rule family (%d)", ran, want)
 	}
 }
 

@@ -3,9 +3,11 @@
 // go/ast and go/types (no external dependencies) and runs analyzers that
 // encode the protection engine's domain rules — named granularity constants
 // instead of magic literals, picosecond/cycle unit discipline, 64B address
-// alignment, no silently dropped errors, and the module-wide dataflow rules
-// (unit-flow, determinism, probe-discipline) built on the fact-propagation
-// engine in dataflow.go. cmd/mglint is the CLI driver; the runtime
+// alignment, no silently dropped errors, probe pairing in the cost model,
+// and the module-wide rules (determinism, concurrency, hotpath-alloc).
+// Unit domains (byte address vs block, partition, chunk and tree-entry
+// index) need no rule: internal/meta gives each its own type, so the
+// compiler rejects a mix. cmd/mglint is the CLI driver; the runtime
 // counterpart of these compile-time rules is internal/check.
 package lint
 
@@ -44,9 +46,9 @@ type Analyzer interface {
 }
 
 // ModuleAnalyzer is an analyzer that additionally (or instead) needs the
-// whole type-checked module at once — the dataflow rules propagate facts
-// across package boundaries, so per-package inspection cannot see their
-// violations. CheckModule is called exactly once per run.
+// whole type-checked module at once — the module-wide rules follow calls
+// and state across package boundaries, so per-package inspection cannot
+// see their violations. CheckModule is called exactly once per run.
 type ModuleAnalyzer interface {
 	Analyzer
 	CheckModule(pkgs []*Package) []Finding
@@ -59,7 +61,6 @@ func Analyzers() []Analyzer {
 		&UnitMixing{},
 		&Alignment{},
 		&UncheckedReturn{},
-		&UnitFlow{},
 		&Determinism{},
 		&ProbeDiscipline{},
 		&Concurrency{},

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -269,5 +270,26 @@ func ID(addr uint64) uint64 { return addr }
 	}, "magic-granularity")
 	if len(fs) != 0 {
 		t.Fatalf("build-tag-excluded file was linted: %v", fs)
+	}
+}
+
+// TestJSONOutputByteIdentical runs the full rule set twice over a fixture
+// module and over this module's own sources, asserting the JSON bytes match
+// exactly — the determinism contract CI diffing relies on.
+func TestJSONOutputByteIdentical(t *testing.T) {
+	for _, root := range []string{filepath.Join("testdata", "determinism_bad"), "../.."} {
+		var bufs [2]bytes.Buffer
+		for i := range bufs {
+			fs, err := Run(root, Options{})
+			if err != nil {
+				t.Fatalf("run %d over %s: %v", i, root, err)
+			}
+			if err := WriteJSON(&bufs[i], fs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
+			t.Errorf("JSON output differs between runs over %s:\n%s\n---\n%s", root, bufs[0].String(), bufs[1].String())
+		}
 	}
 }

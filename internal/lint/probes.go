@@ -8,19 +8,16 @@ import (
 	"strings"
 )
 
-// ProbeDiscipline keeps the observability layer honest: every Table 2
-// switch-cost charge site and DRAM-beat accounting site in internal/core
-// must emit the matching probe event, and all memory traffic must go
-// through the memRead/memWrite seam in observe.go. Without this rule the
-// cost model and the event stream can silently drift apart — a new charge
-// site that forgets its probe produces correct totals and an incomplete
-// trace, which no dynamic test notices.
-//
-// The pairing is derived, not hard-coded: a SwitchStats field F needs
-// probeSwitch(..., probe.SwF) in the same enclosing function if and only if
-// the probe package declares a constant SwF. Fields without a constant
-// (Correct — a non-event) are exempt by construction, and adding a new
-// class to both sides keeps the rule in sync automatically.
+// ProbeDiscipline keeps the observability layer honest: every overfetch
+// and tree-walk accounting site in internal/core must emit the matching
+// probe event, the Table 2 switch counts (SwitchStats fields other than
+// Correct, a non-event) are written only by countSwitch, which also emits
+// the switch event, and all memory traffic must go through the
+// memRead/memWrite seam in observe.go. Without this rule the cost model
+// and the event stream can silently drift apart — a new charge site that
+// forgets its probe produces correct totals and an incomplete trace, which
+// no dynamic test notices. Switch-count writes are found by type, so a
+// *SwitchStats local is caught like the e.Stats.Switches spelling.
 type ProbeDiscipline struct{}
 
 // Name implements Analyzer.
@@ -42,7 +39,6 @@ func (pd *ProbeDiscipline) Check(p *Package) []Finding {
 	if !strings.HasSuffix(p.Path, "/internal/core") {
 		return nil
 	}
-	classes := probeSwitchClasses(p)
 	var out []Finding
 	for _, file := range p.Files {
 		exemptSeam := filepath.Base(p.Fset.Position(file.Pos()).Filename) == "observe.go"
@@ -51,75 +47,69 @@ func (pd *ProbeDiscipline) Check(p *Package) []Finding {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			out = append(out, checkProbeScope(p, fd.Body, classes, exemptSeam)...)
+			out = append(out, checkProbeScope(p, fd.Body, exemptSeam, fd.Name.Name == "countSwitch")...)
 		}
 	}
 	return out
-}
-
-// probeSwitchClasses collects the Sw* switch-class constants the probe
-// package declares, through core's own import of it.
-func probeSwitchClasses(p *Package) map[string]bool {
-	classes := map[string]bool{}
-	for _, imp := range p.Types.Imports() {
-		if !strings.HasSuffix(imp.Path(), "/internal/probe") {
-			continue
-		}
-		scope := imp.Scope()
-		for _, name := range scope.Names() {
-			if _, ok := scope.Lookup(name).(*types.Const); ok && strings.HasPrefix(name, "Sw") {
-				classes[name] = true
-			}
-		}
-	}
-	return classes
 }
 
 // accounting is one cost-accounting increment found in a function scope.
 type accounting struct {
 	pos   token.Pos
 	field string
-	// parent is the selector one hop up ("Switches" or "Stats").
-	parent string
 }
 
 // probeCalls records which probe emissions a function scope performs.
 type probeCalls struct {
-	switchClasses map[string]bool
-	// switchWild is set when probeSwitch is called with a non-constant
-	// class (a forwarded parameter covers every class).
-	switchWild   bool
 	hasOverfetch bool
 	hasWalk      bool
 }
 
 // checkProbeScope analyzes one function scope (FuncDecl or FuncLit body);
 // nested literals recurse as their own scopes, matching how the engine
-// structures its per-unit callbacks.
-func checkProbeScope(p *Package, body *ast.BlockStmt, classes map[string]bool, exemptSeam bool) []Finding {
+// structures its per-unit callbacks. switchWriter marks countSwitch, the
+// one function allowed to write the switch counts.
+func checkProbeScope(p *Package, body *ast.BlockStmt, exemptSeam, switchWriter bool) []Finding {
 	var accs []accounting
-	calls := probeCalls{switchClasses: map[string]bool{}}
+	var calls probeCalls
 	var out []Finding
+	countWrite := func(e ast.Expr) {
+		if field, ok := switchCountField(p, e); ok && !switchWriter {
+			out = append(out, Finding{
+				Pos:  p.Fset.Position(e.Pos()),
+				Rule: "probe-discipline",
+				Msg:  "Switches." + field + " is written outside countSwitch; charge switches with countSwitch, which also emits the probe event",
+			})
+		}
+	}
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FuncLit:
-			out = append(out, checkProbeScope(p, v.Body, classes, exemptSeam)...)
+			out = append(out, checkProbeScope(p, v.Body, exemptSeam, switchWriter)...)
 			return false
+		case *ast.UnaryExpr:
+			if v.Op == token.AND {
+				countWrite(v.X)
+			}
 		case *ast.IncDecStmt:
+			countWrite(v.X)
 			if v.Tok == token.INC {
-				if acc, ok := accountingSite(p, v.X); ok {
+				if acc, ok := accountingSite(v.X); ok {
 					accs = append(accs, acc)
 				}
 			}
 		case *ast.AssignStmt:
+			for _, lhs := range v.Lhs {
+				countWrite(lhs)
+			}
 			if v.Tok == token.ADD_ASSIGN && len(v.Lhs) == 1 {
-				if acc, ok := accountingSite(p, v.Lhs[0]); ok {
+				if acc, ok := accountingSite(v.Lhs[0]); ok {
 					accs = append(accs, acc)
 				}
 			}
 		case *ast.CallExpr:
-			recordProbeCall(p, v, &calls)
+			recordProbeCall(v, &calls)
 			if !exemptSeam {
 				if name, ok := rawMemoryCall(p, v); ok {
 					out = append(out, Finding{
@@ -135,18 +125,6 @@ func checkProbeScope(p *Package, body *ast.BlockStmt, classes map[string]bool, e
 
 	for _, acc := range accs {
 		switch {
-		case acc.parent == "Switches":
-			want := "Sw" + acc.field
-			if !classes[want] {
-				continue // no probe class for this field (e.g. Correct)
-			}
-			if !calls.switchWild && !calls.switchClasses[want] {
-				out = append(out, Finding{
-					Pos:  p.Fset.Position(acc.pos),
-					Rule: "probe-discipline",
-					Msg:  "Switches." + acc.field + " is charged without probeSwitch(..., probe." + want + ") in the same function",
-				})
-			}
 		case acc.field == "OverfetchBeats":
 			if !calls.hasOverfetch {
 				out = append(out, Finding{
@@ -169,47 +147,43 @@ func checkProbeScope(p *Package, body *ast.BlockStmt, classes map[string]bool, e
 }
 
 // accountingSite classifies an increment target as a tracked cost counter.
-// The Switches parent is resolved both syntactically (the canonical
-// e.Stats.Switches.F spelling) and by type: policy methods charge through a
-// *SwitchStats receiver or local, and those increments carry the same
-// pairing obligation even though "Switches" never appears in the selector.
-func accountingSite(p *Package, e ast.Expr) (accounting, bool) {
+func accountingSite(e ast.Expr) (accounting, bool) {
 	sel, ok := unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return accounting{}, false
 	}
-	parent := ""
-	if inner, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
-		parent = inner.Sel.Name
-	}
-	if parent != "Switches" && isSwitchStats(p, sel.X) {
-		parent = "Switches"
-	}
 	field := sel.Sel.Name
-	if parent == "Switches" || field == "OverfetchBeats" || walkFields[field] {
-		return accounting{pos: e.Pos(), field: field, parent: parent}, true
+	if field == "OverfetchBeats" || walkFields[field] {
+		return accounting{pos: e.Pos(), field: field}, true
 	}
 	return accounting{}, false
 }
 
-// isSwitchStats reports whether an expression's static type is core's
-// SwitchStats counter block, looking through one level of pointer — the
-// shape a policy method sees after `st := &e.Stats.Switches`.
-func isSwitchStats(p *Package, e ast.Expr) bool {
-	tv, ok := p.Info.Types[unparen(e)]
+// switchCountField reports whether e selects a switch-class count: a field
+// other than Correct of core's SwitchStats, reached through a value or a
+// pointer (the shape of st := &e.Stats.Switches; st.UpWAR++).
+func switchCountField(p *Package, e ast.Expr) (string, bool) {
+	sel, ok := unparen(e).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name == "Correct" {
+		return "", false
+	}
+	tv, ok := p.Info.Types[unparen(sel.X)]
 	if !ok || tv.Type == nil {
-		return false
+		return "", false
 	}
 	t := tv.Type
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "SwitchStats"
+	if !ok || named.Obj().Name() != "SwitchStats" {
+		return "", false
+	}
+	return sel.Sel.Name, true
 }
 
-// recordProbeCall notes probeSwitch/probeOverfetch/probeWalk emissions.
-func recordProbeCall(p *Package, call *ast.CallExpr, calls *probeCalls) {
+// recordProbeCall notes probeOverfetch/probeWalk emissions.
+func recordProbeCall(call *ast.CallExpr, calls *probeCalls) {
 	name := ""
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -222,33 +196,7 @@ func recordProbeCall(p *Package, call *ast.CallExpr, calls *probeCalls) {
 		calls.hasOverfetch = true
 	case "probeWalk":
 		calls.hasWalk = true
-	case "probeSwitch":
-		if len(call.Args) == 0 {
-			return
-		}
-		last := call.Args[len(call.Args)-1]
-		if cls, ok := switchClassName(p, last); ok {
-			calls.switchClasses[cls] = true
-		} else {
-			calls.switchWild = true
-		}
 	}
-}
-
-// switchClassName resolves a probeSwitch class argument to its Sw*
-// constant name, when statically known.
-func switchClassName(p *Package, e ast.Expr) (string, bool) {
-	var obj types.Object
-	switch v := unparen(e).(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[v]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[v.Sel]
-	}
-	if c, ok := obj.(*types.Const); ok && strings.HasPrefix(c.Name(), "Sw") {
-		return c.Name(), true
-	}
-	return "", false
 }
 
 // rawMemoryCall detects direct (*mem.Memory).Read / .Write calls — memory

@@ -12,8 +12,14 @@ func (e *Engine) ChargeMissing(over int) {
 	e.mm.Read(0, 64)
 }
 
-// ChargeWrongClass emits a probe for a different class than it charges.
+// ChargeWrongClass bumps one class by hand and charges another.
 func (e *Engine) ChargeWrongClass() {
 	e.Stats.Switches.UpWAR++
-	e.probeSwitch(probe.SwDownAll)
+	e.countSwitch(probe.SwDownAll)
+}
+
+// ResetCount overwrites a class count and leaks a pointer to another.
+func (e *Engine) ResetCount() *uint64 {
+	e.Stats.Switches.UpWAR = 0
+	return &e.Stats.Switches.DownAll
 }

@@ -1,11 +1,11 @@
 package core
 
-// lazyPolicy charges switch costs the way a scheme policy does: through a
+// lazyPolicy charges switch costs the way a scheme policy might: through a
 // *SwitchStats local rather than the literal e.Stats.Switches path.
 type lazyPolicy struct{}
 
-// OnDetection charges a class without its probe — the type-based half of
-// the pairing rule must still see it as a Switches accounting site.
+// OnDetection bumps a class count through the typed path, which the rule
+// must still see as a write outside countSwitch.
 func (lazyPolicy) OnDetection(e *Engine) {
 	st := &e.Stats.Switches
 	st.UpWAR++

@@ -1,5 +1,4 @@
-// Package probe declares the switch-class constants the probe-discipline
-// rule derives its field pairing from.
+// Package probe declares the switch classes countSwitch charges.
 package probe
 
 // SwitchClass tags a granularity-switch cost event.

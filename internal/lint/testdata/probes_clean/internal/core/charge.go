@@ -5,19 +5,22 @@ import "unimem/internal/probe"
 // ChargePaired emits every matching probe event and routes traffic through
 // the seam.
 func (e *Engine) ChargePaired(over int) {
-	e.Stats.Switches.DownAll++
-	e.probeSwitch(probe.SwDownAll)
+	e.countSwitch(probe.SwDownAll)
 	e.Stats.Switches.Correct++
 	e.Stats.OverfetchBeats += uint64(over)
 	e.probeOverfetch(over)
 	e.memRead(0, 64)
 }
 
-// ChargeForwarded forwards a caller-chosen class: the non-constant probe
-// argument covers every switch field in this scope.
+// ChargeForwarded forwards a caller-chosen class to countSwitch.
 func (e *Engine) ChargeForwarded(c probe.SwitchClass) {
-	e.Stats.Switches.UpWAR++
-	e.probeSwitch(c)
+	e.countSwitch(c)
+}
+
+// SwitchTotal only reads the counts.
+func (e *Engine) SwitchTotal() uint64 {
+	s := &e.Stats.Switches
+	return s.DownAll + s.UpWAR + s.Correct
 }
 
 // WalkInLiteral pairs the walk counter inside the same func literal — the

@@ -28,7 +28,17 @@ type Engine struct {
 	mm    *mem.Memory
 }
 
-func (e *Engine) probeSwitch(c probe.SwitchClass) {}
+// countSwitch is the one writer of the switch counts: it also emits the
+// switch event.
+func (e *Engine) countSwitch(c probe.SwitchClass) {
+	s := &e.Stats.Switches
+	switch c {
+	case probe.SwDownAll:
+		s.DownAll++
+	case probe.SwUpWAR:
+		s.UpWAR++
+	}
+}
 
 func (e *Engine) probeOverfetch(beats int) {}
 

@@ -2,15 +2,13 @@ package core
 
 import "unimem/internal/probe"
 
-// lazyPolicy charges switch costs the way a scheme policy does: through a
-// *SwitchStats local rather than the literal e.Stats.Switches path, with
-// every charge paired to its probe emission.
+// lazyPolicy charges switch costs the way a scheme policy does: through
+// countSwitch, with Correct counted through a *SwitchStats local.
 type lazyPolicy struct{}
 
-// OnDetection pairs the typed-path charge with its probe.
+// OnDetection charges through the one writer.
 func (lazyPolicy) OnDetection(e *Engine) {
+	e.countSwitch(probe.SwUpWAR)
 	st := &e.Stats.Switches
-	st.UpWAR++
-	e.probeSwitch(probe.SwUpWAR)
 	st.Correct++ // no probe class: exempt even through the typed path
 }

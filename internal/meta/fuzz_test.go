@@ -12,9 +12,9 @@ func FuzzMACSlot(f *testing.F) {
 	f.Add(uint64(0xff)<<24, 200)  // one 4KB group
 	f.Add(uint64(0x8001), 17)     // two stream partitions
 	f.Add(uint64(0xfffe_0000_0000_00ff), 300)
-	f.Fuzz(func(t *testing.T, spBits uint64, b int) {
+	f.Fuzz(func(t *testing.T, spBits uint64, raw int) {
 		sp := StreamPart(spBits)
-		b = ((b % BlocksPerChunk) + BlocksPerChunk) % BlocksPerChunk
+		b := ChunkBlock(((raw % BlocksPerChunk) + BlocksPerChunk) % BlocksPerChunk)
 
 		slot, g := sp.MACSlot(b)
 		if want := sp.GranOfBlock(b); g != want {
@@ -30,7 +30,7 @@ func FuzzMACSlot(f *testing.F) {
 
 		// Every block of the unit shares the unit's single MAC slot.
 		u := sp.UnitOf(b)
-		for _, probe := range []int{u.Block, u.Block + u.Blocks() - 1} {
+		for _, probe := range []ChunkBlock{u.Block, u.End() - 1} {
 			ps, pg := sp.MACSlot(probe)
 			if pg != g || (g != Gran64 && ps != slot) {
 				t.Fatalf("sp=%#x: unit [%d,+%d) blocks disagree: (%d,%v) vs (%d,%v)",
@@ -40,7 +40,7 @@ func FuzzMACSlot(f *testing.F) {
 
 		// Front-to-back packing: the next unit starts at a strictly greater
 		// slot (fragmentation-free compaction, Fig. 9).
-		if next := u.Block + u.Blocks(); next < BlocksPerChunk && sp != AllStream {
+		if next := u.End(); next < BlocksPerChunk && sp != AllStream {
 			us, _ := sp.MACSlot(u.Block)
 			ns, _ := sp.MACSlot(next)
 			if ns <= us {
@@ -60,10 +60,10 @@ func FuzzGeometryEqs(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0))
 	f.Add(uint64(128), uint64(511), uint64(AllStream))
 	f.Add(uint64(7), uint64(3*512+200), uint64(0xff)<<24)
-	f.Fuzz(func(t *testing.T, chunks, blockIdx, spBits uint64) {
+	f.Fuzz(func(t *testing.T, chunks, rawBlock, spBits uint64) {
 		chunks = chunks%256 + 1
 		g := NewGeometry(chunks * ChunkSize)
-		blockIdx %= g.Blocks()
+		blockIdx := BlockIdx(rawBlock) % g.Blocks()
 		sp := StreamPart(spBits)
 
 		for level := 0; level+1 < g.Levels(); level++ {
@@ -90,7 +90,7 @@ func FuzzGeometryEqs(f *testing.F) {
 			prev = a
 		}
 
-		dataAddr := blockIdx * BlockSize
+		dataAddr := uint64(blockIdx) * BlockSize
 		macAddr, gran := g.MACAddrFor(dataAddr, sp)
 		if macAddr < g.MACBase || macAddr >= g.CounterBase {
 			t.Fatalf("MAC addr %#x outside MAC region [%#x,%#x)", macAddr, g.MACBase, g.CounterBase)

@@ -73,11 +73,13 @@ func (g *Geometry) Levels() int { return g.levels }
 // RootEntries returns the number of on-chip root counters.
 func (g *Geometry) RootEntries() int { return g.rootEntries }
 
-// Blocks returns the number of protected 64B blocks.
-func (g *Geometry) Blocks() uint64 { return g.nBlocks }
+// Blocks returns the number of protected 64B blocks (one past the last
+// block index).
+func (g *Geometry) Blocks() BlockIdx { return BlockIdx(g.nBlocks) }
 
-// Chunks returns the number of 32KB chunks in the region.
-func (g *Geometry) Chunks() uint64 { return g.RegionBytes / ChunkSize }
+// Chunks returns the number of 32KB chunks in the region (one past the
+// last chunk index).
+func (g *Geometry) Chunks() ChunkIdx { return ChunkIndex(g.RegionBytes) }
 
 // MetadataBytes returns the total metadata footprint (MACs + tree + table).
 func (g *Geometry) MetadataBytes() uint64 { return g.End - g.MACBase }
@@ -97,21 +99,21 @@ func (g *Geometry) checkLevel(level int) {
 // CounterEntryIndex returns the index of the counter entry covering
 // blockIdx at the given level (Eq. 3: the level-th ancestor of the leaf
 // index).
-func (g *Geometry) CounterEntryIndex(level int, blockIdx uint64) uint64 {
-	return blockIdx >> (3 * uint(level))
+func (g *Geometry) CounterEntryIndex(level int, blockIdx BlockIdx) EntryIdx {
+	return EntryIdx(blockIdx >> (3 * uint(level)))
 }
 
 // CounterLineAddr returns the address of the 64B counter line holding the
 // level-th counter for blockIdx (Eq. 4: base + floor(idx/arity)*64B).
-func (g *Geometry) CounterLineAddr(level int, blockIdx uint64) uint64 {
+func (g *Geometry) CounterLineAddr(level int, blockIdx BlockIdx) uint64 {
 	g.checkLevel(level)
 	entry := g.CounterEntryIndex(level, blockIdx)
-	return g.CounterBase + g.levelOffset[level] + (entry/Arity)*BlockSize
+	return g.CounterBase + g.levelOffset[level] + uint64(entry/Arity)*BlockSize
 }
 
 // CounterSlot returns the slot (0..7) of blockIdx's counter within its
 // level-th line.
-func (g *Geometry) CounterSlot(level int, blockIdx uint64) int {
+func (g *Geometry) CounterSlot(level int, blockIdx BlockIdx) int {
 	return int(g.CounterEntryIndex(level, blockIdx) % Arity)
 }
 
@@ -125,22 +127,22 @@ func (g *Geometry) ParentIsRoot(level int) bool { return level+1 >= g.levels }
 // RootSlot returns the on-chip root register index guarding blockIdx's
 // top-most stored line. It is always below RootEntries() because each
 // level-l entry index is the level-(l-1) index divided by Arity.
-func (g *Geometry) RootSlot(blockIdx uint64) int {
+func (g *Geometry) RootSlot(blockIdx BlockIdx) int {
 	return int(blockIdx >> (3 * uint(g.levels)))
 }
 
 // MACLineAddr returns the address of the 64B MAC cacheline holding the
 // given compacted slot of chunk chunkIdx (Eq. 1 with the per-chunk
 // fine-grained reservation of section 4.3).
-func (g *Geometry) MACLineAddr(chunkIdx uint64, slot int) uint64 {
+func (g *Geometry) MACLineAddr(chunkIdx ChunkIdx, slot int) uint64 {
 	if slot < 0 || slot >= BlocksPerChunk {
 		panic(fmt.Sprintf("meta: MAC slot %d out of range", slot))
 	}
-	return g.MACBase + chunkIdx*BlocksPerChunk*MACSize + uint64(slot/MACsPerLine)*BlockSize
+	return g.MACBase + uint64(chunkIdx.Block(0))*MACSize + uint64(slot/MACsPerLine)*BlockSize
 }
 
 // MACAddr returns the byte address of a compacted MAC slot.
-func (g *Geometry) MACAddr(chunkIdx uint64, slot int) uint64 {
+func (g *Geometry) MACAddr(chunkIdx ChunkIdx, slot int) uint64 {
 	return g.MACLineAddr(chunkIdx, slot) + uint64(slot%MACsPerLine)*MACSize
 }
 
@@ -153,17 +155,23 @@ func (g *Geometry) MACAddrFor(addr uint64, sp StreamPart) (uint64, Gran) {
 		// Fig. 9 compaction: a resolved slot must fall inside the occupied
 		// prefix of the chunk's fixed reservation, and the granularity
 		// stored there must agree with the encoding's view of the block.
-		check.Assertf(slot >= 0 && slot < sp.SlotsUsed(),
-			"MAC slot %d outside compacted prefix %d (encoding %#x)", slot, sp.SlotsUsed(), uint64(sp))
-		check.Assertf(gran == sp.GranOfBlock(b),
-			"MAC slot granularity %v disagrees with encoding %v for block %d", gran, sp.GranOfBlock(b), b)
+		// The message arguments are boxed only on failure, so the armed
+		// build keeps the data path's zero-allocation contract
+		// (secmem's TestDataPathAllocs).
+		//mutate:ignore swap-ineq MACSlot never returns a slot at or past SlotsUsed (TestMACSlotBijectionProperty, FuzzMACSlot), so moving this assertion's boundary by one cannot change any run
+		if used := sp.SlotsUsed(); uint(slot) >= uint(used) { //mutate:ignore off-by-one slot >= used+1 is slot > used, unobservable for the same reason as the swap above
+			check.Assertf(false, "MAC slot %d outside compacted prefix %d (encoding %#x)", slot, used, uint64(sp))
+		}
+		if want := sp.GranOfBlock(b); gran != want {
+			check.Assertf(false, "MAC slot granularity %v disagrees with encoding %v for block %d", gran, want, b)
+		}
 	}
 	return g.MACAddr(ChunkIndex(addr), slot), gran
 }
 
 // GTEntryAddr returns the address of the chunk's granularity-table entry.
-func (g *Geometry) GTEntryAddr(chunkIdx uint64) uint64 {
-	return g.GTBase + chunkIdx*GTEntrySize
+func (g *Geometry) GTEntryAddr(chunkIdx ChunkIdx) uint64 {
+	return g.GTBase + uint64(chunkIdx)*GTEntrySize
 }
 
 // WalkLen returns the number of stored tree levels a verification walk

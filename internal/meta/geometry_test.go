@@ -57,7 +57,7 @@ func TestRegionsDisjoint(t *testing.T) {
 		t.Fatalf("regions out of order: %+v", g)
 	}
 	// MAC region: 8B per block.
-	if g.CounterBase-g.MACBase != g.Blocks()*MACSize {
+	if g.CounterBase-g.MACBase != uint64(g.Blocks())*MACSize {
 		t.Fatal("MAC region size wrong")
 	}
 }
@@ -102,7 +102,7 @@ func TestCounterLevelArraysDisjoint(t *testing.T) {
 
 func TestRootSlotBounded(t *testing.T) {
 	g := smallGeom()
-	for blk := uint64(0); blk < g.Blocks(); blk += 977 {
+	for blk := BlockIdx(0); blk < g.Blocks(); blk += 977 {
 		if s := g.RootSlot(blk); s < 0 || s >= g.RootEntries() {
 			t.Fatalf("root slot %d out of [0,%d)", s, g.RootEntries())
 		}
@@ -169,7 +169,7 @@ func TestGTEntryAddr(t *testing.T) {
 	if a := g.GTEntryAddr(3); a != g.GTBase+3*GTEntrySize {
 		t.Fatal("GT entry stride wrong")
 	}
-	if g.End-g.GTBase != g.Chunks()*GTEntrySize {
+	if g.End-g.GTBase != uint64(g.Chunks())*GTEntrySize {
 		t.Fatal("GT region size wrong")
 	}
 }
@@ -190,8 +190,8 @@ func TestCounterAddressInjectivityProperty(t *testing.T) {
 	g := smallGeom()
 	f := func(b1, b2 uint32, lvl uint8) bool {
 		l := int(lvl) % g.Levels()
-		blk1 := uint64(b1) % g.Blocks()
-		blk2 := uint64(b2) % g.Blocks()
+		blk1 := BlockIdx(b1) % g.Blocks()
+		blk2 := BlockIdx(b2) % g.Blocks()
 		a1 := g.CounterLineAddr(l, blk1)
 		a2 := g.CounterLineAddr(l, blk2)
 		e1 := g.CounterEntryIndex(l, blk1)
@@ -210,8 +210,8 @@ func TestCounterAddressInjectivityProperty(t *testing.T) {
 func TestMACChunkIsolationProperty(t *testing.T) {
 	g := smallGeom()
 	f := func(c1, c2 uint8, s1, s2 uint16) bool {
-		ch1 := uint64(c1) % g.Chunks()
-		ch2 := uint64(c2) % g.Chunks()
+		ch1 := ChunkIdx(c1) % g.Chunks()
+		ch2 := ChunkIdx(c2) % g.Chunks()
 		sl1 := int(s1) % BlocksPerChunk
 		sl2 := int(s2) % BlocksPerChunk
 		a1 := g.MACAddr(ch1, sl1)

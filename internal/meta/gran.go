@@ -88,26 +88,74 @@ func GranForBytes(n uint64) (Gran, bool) {
 	return Gran64, false
 }
 
+// Unit domains. Byte addresses are plain uint64; every index into the
+// protected region has its own type, so mixing domains (a chunk index added
+// to a byte address, a block compared with a partition) fails to compile.
+// The methods below are the conversions between domains (Eq. 1-4 factors).
+
+// ChunkIdx is a 32KB chunk number.
+type ChunkIdx uint64
+
+// BlockIdx is a global 64B block number: the leaf index of the counter
+// tree.
+type BlockIdx uint64
+
+// ChunkBlock is the number of a 64B block within its chunk (0..511).
+type ChunkBlock int
+
+// PartIdx is the number of a 512B partition within its chunk (0..63).
+type PartIdx int
+
+// EntryIdx is the index of a counter entry at one tree level (Eq. 3); the
+// entry at level l covers the blocks [e<<3l, (e+1)<<3l).
+type EntryIdx uint64
+
+// Base returns the byte address of the chunk's first byte.
+func (c ChunkIdx) Base() uint64 { return uint64(c) * ChunkSize }
+
+// Block returns the global index of block b of the chunk.
+func (c ChunkIdx) Block(b ChunkBlock) BlockIdx {
+	return BlockIdx(c)*BlocksPerChunk + BlockIdx(b)
+}
+
+// Chunk returns the chunk holding the block.
+func (b BlockIdx) Chunk() ChunkIdx { return ChunkIdx(b / BlocksPerChunk) }
+
+// Offset returns the block's byte offset from its chunk base.
+func (b ChunkBlock) Offset() uint64 { return uint64(b) * BlockSize }
+
+// Part returns the partition holding the block.
+func (b ChunkBlock) Part() PartIdx { return PartIdx(b / BlocksPerPartition) }
+
+// Align returns the first block of the g-sized unit holding b.
+func (b ChunkBlock) Align(g Gran) ChunkBlock { return b &^ ChunkBlock(g.Blocks()-1) }
+
+// FirstBlock returns the partition's first block.
+func (p PartIdx) FirstBlock() ChunkBlock { return ChunkBlock(p * BlocksPerPartition) }
+
+// FirstBlock returns the first block the level-l entry covers.
+func (e EntryIdx) FirstBlock(level int) BlockIdx { return BlockIdx(e) << (3 * uint(level)) }
+
 // Address decomposition helpers. Addresses are byte addresses into the
 // protected data region.
 
 // ChunkIndex returns the 32KB chunk number of addr (the upper bits of the
 // address; paper section 4.4 uses the upper 49 of 64 bits).
-func ChunkIndex(addr uint64) uint64 { return addr / ChunkSize }
+func ChunkIndex(addr uint64) ChunkIdx { return ChunkIdx(addr / ChunkSize) }
 
 // ChunkBase returns the base address of the chunk containing addr.
 func ChunkBase(addr uint64) uint64 { return addr &^ uint64(ChunkSize-1) }
 
 // PartIndex returns the 512B partition number of addr within its chunk
 // (0..63).
-func PartIndex(addr uint64) int { return int(addr%ChunkSize) / PartitionSize }
+func PartIndex(addr uint64) PartIdx { return PartIdx(int(addr%ChunkSize) / PartitionSize) }
 
 // BlockIndex returns the global 64B block number of addr.
-func BlockIndex(addr uint64) uint64 { return addr / BlockSize }
+func BlockIndex(addr uint64) BlockIdx { return BlockIdx(addr / BlockSize) }
 
 // BlockInChunk returns the 64B block number of addr within its chunk
 // (0..511).
-func BlockInChunk(addr uint64) int { return int(addr%ChunkSize) / BlockSize }
+func BlockInChunk(addr uint64) ChunkBlock { return ChunkBlock(int(addr%ChunkSize) / BlockSize) }
 
 // AlignGran returns addr rounded down to a g-sized boundary.
 func AlignGran(addr uint64, g Gran) uint64 { return addr &^ (g.Bytes() - 1) }

@@ -12,7 +12,7 @@ type StreamPart uint64
 const AllStream StreamPart = ^StreamPart(0)
 
 // IsStream reports whether partition p (0..63) is a stream partition.
-func (sp StreamPart) IsStream(p int) bool { return sp>>(uint(p))&1 == 1 }
+func (sp StreamPart) IsStream(p PartIdx) bool { return sp>>(uint(p))&1 == 1 }
 
 // groupBits extracts the 8 partition bits of 4KB group g (0..7).
 func (sp StreamPart) groupBits(g int) uint8 { return uint8(sp >> (uint(g) * 8)) }
@@ -20,11 +20,11 @@ func (sp StreamPart) groupBits(g int) uint8 { return uint8(sp >> (uint(g) * 8)) 
 // GranOf returns the effective granularity of partition p: 32KB when the
 // whole chunk streams, 4KB when p's aligned group of 8 partitions streams,
 // 512B when only p streams, else 64B.
-func (sp StreamPart) GranOf(p int) Gran {
+func (sp StreamPart) GranOf(p PartIdx) Gran {
 	if sp == AllStream {
 		return Gran32K
 	}
-	if sp.groupBits(p/8) == 0xff {
+	if sp.groupBits(int(p/8)) == 0xff {
 		return Gran4K
 	}
 	if sp.IsStream(p) {
@@ -35,7 +35,7 @@ func (sp StreamPart) GranOf(p int) Gran {
 
 // GranOfBlock returns the effective granularity covering block b (0..511)
 // of the chunk.
-func (sp StreamPart) GranOfBlock(b int) Gran { return sp.GranOf(b / BlocksPerPartition) }
+func (sp StreamPart) GranOfBlock(b ChunkBlock) Gran { return sp.GranOf(b.Part()) }
 
 // Unit identifies one protection unit inside a chunk: a maximal region
 // sharing one counter and one MAC.
@@ -43,25 +43,28 @@ type Unit struct {
 	// Gran is the unit's granularity.
 	Gran Gran
 	// Block is the first 64B block of the unit within the chunk (0..511).
-	Block int
+	Block ChunkBlock
 }
 
 // Blocks returns the number of 64B blocks the unit covers.
 func (u Unit) Blocks() int { return u.Gran.Blocks() }
 
 // UnitOf returns the protection unit covering block b (0..511).
-func (sp StreamPart) UnitOf(b int) Unit {
+func (sp StreamPart) UnitOf(b ChunkBlock) Unit {
 	g := sp.GranOfBlock(b)
-	return Unit{Gran: g, Block: b &^ (g.Blocks() - 1)}
+	return Unit{Gran: g, Block: b.Align(g)}
 }
+
+// End returns the first block past the unit.
+func (u Unit) End() ChunkBlock { return u.Block + ChunkBlock(u.Blocks()) }
 
 // Units enumerates the chunk's protection units in address order.
 func (sp StreamPart) Units() []Unit {
 	var units []Unit
-	for b := 0; b < BlocksPerChunk; {
+	for b := ChunkBlock(0); b < BlocksPerChunk; {
 		u := sp.UnitOf(b)
 		units = append(units, u)
-		b += u.Blocks()
+		b = u.End()
 	}
 	return units
 }
@@ -96,11 +99,11 @@ func (sp StreamPart) SlotsUsed() int {
 // (0..511) under this encoding, and the granularity of the MAC stored
 // there. Coarse units occupy one slot placed front-to-back in address
 // order, removing the fragmentation of Fig. 9.
-func (sp StreamPart) MACSlot(b int) (slot int, g Gran) {
+func (sp StreamPart) MACSlot(b ChunkBlock) (slot int, g Gran) {
 	if sp == AllStream {
 		return 0, Gran32K
 	}
-	group := b / (BlocksPerPartition * 8) // 4KB group index 0..7
+	group := int(b / (BlocksPerPartition * 8)) // 4KB group index 0..7
 	slot = 0
 	for gI := 0; gI < group; gI++ {
 		slot += sp.groupSlots(gI)
@@ -109,7 +112,7 @@ func (sp StreamPart) MACSlot(b int) (slot int, g Gran) {
 	if gb == 0xff {
 		return slot, Gran4K
 	}
-	partInGroup := (b / BlocksPerPartition) % 8
+	partInGroup := int(b.Part() % 8)
 	for p := 0; p < partInGroup; p++ {
 		if gb>>uint(p)&1 == 1 {
 			slot++
@@ -120,25 +123,24 @@ func (sp StreamPart) MACSlot(b int) (slot int, g Gran) {
 	if gb>>uint(partInGroup)&1 == 1 {
 		return slot, Gran512
 	}
-	return slot + b%BlocksPerPartition, Gran64
+	return slot + int(b%BlocksPerPartition), Gran64
 }
 
 // PromoteMask returns the encoding with partitions [first, first+count)
 // forced to stream, leaving others unchanged.
-func (sp StreamPart) PromoteMask(first, count int) StreamPart {
+func (sp StreamPart) PromoteMask(first PartIdx, count int) StreamPart {
 	return sp | maskRange(first, count)
 }
 
 // DemoteMask returns the encoding with partitions [first, first+count)
 // forced to fine-grained.
-func (sp StreamPart) DemoteMask(first, count int) StreamPart {
+func (sp StreamPart) DemoteMask(first PartIdx, count int) StreamPart {
 	return sp &^ maskRange(first, count)
 }
 
-func maskRange(first, count int) StreamPart {
-	if count >= 64 {
-		return AllStream
-	}
+// maskRange returns the bits of partitions [first, first+count). A shift
+// by 64 yields 0 in Go, so count 64 (first 0) gives AllStream.
+func maskRange(first PartIdx, count int) StreamPart {
 	return StreamPart((uint64(1)<<uint(count) - 1) << uint(first))
 }
 

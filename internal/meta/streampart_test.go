@@ -21,7 +21,7 @@ func TestGranOfEncoding(t *testing.T) {
 
 func TestGranOfAllStream(t *testing.T) {
 	// 0b111...1 represents the 32KB granularity.
-	for p := 0; p < PartsPerChunk; p++ {
+	for p := PartIdx(0); p < PartsPerChunk; p++ {
 		if g := AllStream.GranOf(p); g != Gran32K {
 			t.Fatalf("part %d of full chunk = %v, want 32KB", p, g)
 		}
@@ -65,12 +65,12 @@ func TestUnitsTileChunkExactly(t *testing.T) {
 	cases := []StreamPart{0, AllStream, 0b101, 0xff00 | 1<<20, 0xffffffff00000000}
 	for _, sp := range cases {
 		blocks := 0
-		prevEnd := 0
+		prevEnd := ChunkBlock(0)
 		for _, u := range sp.Units() {
 			if u.Block != prevEnd {
 				t.Fatalf("sp=%#x: unit at %d but previous ended at %d", uint64(sp), u.Block, prevEnd)
 			}
-			prevEnd = u.Block + u.Blocks()
+			prevEnd = u.End()
 			blocks += u.Blocks()
 		}
 		if blocks != BlocksPerChunk {
@@ -165,7 +165,7 @@ func TestMACSlotBijectionProperty(t *testing.T) {
 			seen[slot] = u
 			// Every block of the unit resolves to the same slot for coarse
 			// units, and to consecutive slots for fine partitions.
-			for b := u.Block; b < u.Block+u.Blocks(); b++ {
+			for b := u.Block; b < u.End(); b++ {
 				s, _ := sp.MACSlot(b)
 				if u.Gran == Gran64 {
 					if s != slot {
@@ -182,13 +182,13 @@ func TestMACSlotBijectionProperty(t *testing.T) {
 			}
 		}
 		// Fine partitions: 8 consecutive slots, one per block.
-		for p := 0; p < PartsPerChunk; p++ {
+		for p := PartIdx(0); p < PartsPerChunk; p++ {
 			if sp.GranOf(p) != Gran64 {
 				continue
 			}
-			base, _ := sp.MACSlot(p * BlocksPerPartition)
+			base, _ := sp.MACSlot(p.FirstBlock())
 			for b := 0; b < BlocksPerPartition; b++ {
-				s, g := sp.MACSlot(p*BlocksPerPartition + b)
+				s, g := sp.MACSlot(p.FirstBlock() + ChunkBlock(b))
 				if g != Gran64 || s != base+b {
 					return false
 				}
@@ -205,7 +205,7 @@ func TestMACSlotBijectionProperty(t *testing.T) {
 func TestSlotsMonotoneUnderPromotionProperty(t *testing.T) {
 	f := func(raw uint64, first, count uint8) bool {
 		sp := StreamPart(raw)
-		promoted := sp.PromoteMask(int(first%64), int(count%64)+1)
+		promoted := sp.PromoteMask(PartIdx(first%64), int(count%64)+1)
 		return promoted.SlotsUsed() <= sp.SlotsUsed()
 	}
 	if err := quick.Check(f, quickCfg(100)); err != nil {
@@ -236,14 +236,14 @@ func TestPromoteDemoteMasks(t *testing.T) {
 func TestGranUnitConsistencyProperty(t *testing.T) {
 	f := func(raw uint64, b uint16) bool {
 		sp := StreamPart(raw)
-		blk := int(b) % BlocksPerChunk
+		blk := ChunkBlock(b) % BlocksPerChunk
 		u := sp.UnitOf(blk)
-		for x := u.Block; x < u.Block+u.Blocks(); x++ {
+		for x := u.Block; x < u.End(); x++ {
 			if sp.GranOfBlock(x) != u.Gran {
 				return false
 			}
 		}
-		return blk >= u.Block && blk < u.Block+u.Blocks()
+		return blk >= u.Block && blk < u.End()
 	}
 	if err := quick.Check(f, quickCfg(100)); err != nil {
 		t.Fatal(err)

@@ -12,21 +12,21 @@ import "unimem/internal/check"
 // The table is sparse: chunks never touched stay fine-grained (zero
 // bitmap), matching the hardware default.
 type Table struct {
-	cur  map[uint64]StreamPart
-	next map[uint64]StreamPart
+	cur  map[ChunkIdx]StreamPart
+	next map[ChunkIdx]StreamPart
 }
 
 // NewTable returns an empty table (all chunks fine-grained).
 func NewTable() *Table {
-	return &Table{cur: map[uint64]StreamPart{}, next: map[uint64]StreamPart{}}
+	return &Table{cur: map[ChunkIdx]StreamPart{}, next: map[ChunkIdx]StreamPart{}}
 }
 
 // Current returns the applied encoding for a chunk.
-func (t *Table) Current(chunk uint64) StreamPart { return t.cur[chunk] }
+func (t *Table) Current(chunk ChunkIdx) StreamPart { return t.cur[chunk] }
 
 // Next returns the detected-but-unapplied encoding for a chunk. For chunks
 // with no pending detection it equals Current.
-func (t *Table) Next(chunk uint64) StreamPart {
+func (t *Table) Next(chunk ChunkIdx) StreamPart {
 	if sp, ok := t.next[chunk]; ok {
 		return sp
 	}
@@ -36,19 +36,19 @@ func (t *Table) Next(chunk uint64) StreamPart {
 // Pending reports whether the chunk has an unapplied switch for the
 // partitions covering block b (0..511): the unit granularity differs
 // between current and next.
-func (t *Table) Pending(chunk uint64, b int) bool {
+func (t *Table) Pending(chunk ChunkIdx, b ChunkBlock) bool {
 	cur, next := t.Current(chunk), t.Next(chunk)
 	if cur == next {
 		return false
 	}
-	p := b / BlocksPerPartition
+	p := b.Part()
 	return cur.GranOf(p) != next.GranOf(p)
 }
 
 // SetNext records a freshly detected encoding for the chunk (the output of
 // the granularity-detection algorithm). The switch is applied lazily,
 // unit by unit, as accesses arrive.
-func (t *Table) SetNext(chunk uint64, sp StreamPart) {
+func (t *Table) SetNext(chunk ChunkIdx, sp StreamPart) {
 	if t.cur[chunk] == sp {
 		delete(t.next, chunk)
 		return
@@ -60,25 +60,22 @@ func (t *Table) SetNext(chunk uint64, sp StreamPart) {
 // encoding) that covers block b, updating only that unit's partitions in
 // the current encoding. It returns the old and new unit granularities.
 // Committing a unit with no pending change is a no-op.
-func (t *Table) CommitUnit(chunk uint64, b int) (from, to Gran) {
+func (t *Table) CommitUnit(chunk ChunkIdx, b ChunkBlock) (from, to Gran) {
 	cur := t.Current(chunk)
 	next := t.Next(chunk)
-	p := b / BlocksPerPartition
+	p := b.Part()
 	from, to = cur.GranOf(p), next.GranOf(p)
 	if cur == next {
 		return from, to
 	}
 	// The unit under the coarser of the two encodings defines the span to
 	// re-encode, so a 4KB->512B demotion rewrites all 8 partitions.
-	span := from
-	if to > span {
-		span = to
-	}
+	span := max(from, to)
 	parts := span.Blocks() / BlocksPerPartition
 	if parts == 0 {
 		parts = 1
 	}
-	first := p &^ (parts - 1)
+	first := p &^ PartIdx(parts-1)
 	mask := maskRange(first, parts)
 	merged := cur&^mask | next&mask
 	// An incremental commit must not coarsen its neighbours by accident:
@@ -93,8 +90,8 @@ func (t *Table) CommitUnit(chunk uint64, b int) (from, to Gran) {
 	// applied early.
 	if merged == AllStream && next != AllStream {
 		merged = next
-	} else if g := p / 8; merged.groupBits(g) == 0xff && next.groupBits(g) != 0xff && next != AllStream {
-		gm := maskRange(g*8, 8)
+	} else if g := int(p / 8); merged.groupBits(g) == 0xff && next.groupBits(g) != 0xff && next != AllStream {
+		gm := maskRange(PartIdx(g*8), 8)
 		merged = merged&^gm | next&gm
 	}
 	if check.Enabled {
@@ -117,7 +114,7 @@ func (t *Table) CommitUnit(chunk uint64, b int) (from, to Gran) {
 
 // CommitAll force-applies the pending encoding for a chunk (used by tests
 // and by the non-lazy ablation scheme).
-func (t *Table) CommitAll(chunk uint64) {
+func (t *Table) CommitAll(chunk ChunkIdx) {
 	if sp, ok := t.next[chunk]; ok {
 		t.cur[chunk] = sp
 		delete(t.next, chunk)
@@ -146,6 +143,6 @@ func (t *Table) CloneCommitted() *Table {
 
 // Reset clears the table.
 func (t *Table) Reset() {
-	t.cur = map[uint64]StreamPart{}
-	t.next = map[uint64]StreamPart{}
+	t.cur = map[ChunkIdx]StreamPart{}
+	t.next = map[ChunkIdx]StreamPart{}
 }

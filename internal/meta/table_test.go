@@ -122,8 +122,8 @@ func TestCommitConvergesProperty(t *testing.T) {
 		// Touch every partition once (any order would do; use a stride
 		// that permutes 0..63).
 		for i := 0; i < PartsPerChunk; i++ {
-			p := (i*37 + int(seed)) % PartsPerChunk
-			tb.CommitUnit(3, p*BlocksPerPartition)
+			p := PartIdx((i*37 + int(seed)) % PartsPerChunk)
+			tb.CommitUnit(3, p.FirstBlock())
 		}
 		if tb.Current(3) != next {
 			t.Fatalf("seed %d: current %#x, want %#x", seed, uint64(tb.Current(3)), uint64(next))
@@ -148,8 +148,8 @@ func TestCommitDoesNotAccidentallyCoarsen(t *testing.T) {
 	tb.CommitAll(3)
 	tb.SetNext(3, next)
 
-	p := 31
-	from, to := tb.CommitUnit(3, p*BlocksPerPartition)
+	p := PartIdx(31)
+	from, to := tb.CommitUnit(3, p.FirstBlock())
 	if from != Gran64 || to != Gran512 {
 		t.Fatalf("commit = %v->%v, want 64B->512B", from, to)
 	}

@@ -5,17 +5,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"unimem/internal/lint"
 )
 
 // The domain tier encodes the defect classes the paper's multi-granular
-// MAC + integrity tree must catch, seeded from two authorities: the
-// unit-fact lattice of internal/lint (which declares the address/index
-// domain of every geometry helper) and the protection engine's policy
-// surface (verify/seal/commit/promote names in secmem, core and meta).
+// MAC + integrity tree must catch, seeded from the geometry constants of
+// internal/meta and the protection engine's policy surface
+// (verify/seal/commit/promote names in secmem, core and meta).
 // These are exactly the failure modes the related work documents — the
 // MGX version-elision and the SecDDR MAC-only-path gaps — plus the TOCTOU
 // laundering class PR 7's attack harness found for real.
@@ -24,116 +22,10 @@ import (
 // analysis (fixture modules mirror the internal/ layout).
 const metaPathSuffix = "/internal/meta"
 
-// factSig is the unit-domain shape of a function: the lattice facts of its
-// parameters and results, FactNone where unconstrained.
-type factSig struct {
-	params  string
-	results string
-}
-
-// swapPartners derives the unit-swap table from the lattice: two functions
-// (or two methods of one type) with identical Go signatures but different
-// unit-fact shapes are a granularity-index mixup the compiler cannot see.
-// For each such function the partner is the first differing candidate in
-// name order, making site generation deterministic and one-per-call.
-func (m *Module) swapPartners() map[*types.Func]*types.Func {
-	type cand struct {
-		fn  *types.Func
-		sig *types.Signature
-		fs  factSig
-	}
-	// Group candidates by (package, receiver type, signature shape).
-	groups := map[string][]cand{}
-	var keys []string
-	for _, p := range m.Pkgs {
-		scope := p.Types.Scope()
-		names := scope.Names()
-		var fns []*types.Func
-		for _, name := range names {
-			switch obj := scope.Lookup(name).(type) {
-			case *types.Func:
-				fns = append(fns, obj)
-			case *types.TypeName:
-				named, ok := obj.Type().(*types.Named)
-				if !ok {
-					continue
-				}
-				for i := 0; i < named.NumMethods(); i++ {
-					fns = append(fns, named.Method(i))
-				}
-			}
-		}
-		for _, fn := range fns {
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok {
-				continue
-			}
-			fs, known := m.factSigOf(sig)
-			if !known {
-				continue
-			}
-			recv := ""
-			if sig.Recv() != nil {
-				recv = typeString(sig.Recv().Type())
-			}
-			key := p.Path + "|" + recv + "|" + plainSig(sig)
-			if _, seen := groups[key]; !seen {
-				keys = append(keys, key)
-			}
-			groups[key] = append(groups[key], cand{fn: fn, sig: sig, fs: fs})
-		}
-	}
-	sort.Strings(keys)
-	out := map[*types.Func]*types.Func{}
-	for _, key := range keys {
-		g := groups[key]
-		sort.Slice(g, func(i, j int) bool { return g[i].fn.Name() < g[j].fn.Name() })
-		for i := range g {
-			for j := range g {
-				if i == j || g[i].fs == g[j].fs || !types.Identical(g[i].sig, g[j].sig) {
-					continue
-				}
-				out[g[i].fn] = g[j].fn
-				break
-			}
-		}
-	}
-	return out
-}
-
-// factSigOf renders a signature's unit-fact shape; known is false when no
-// parameter or result carries lattice evidence (such functions are not
-// swap candidates).
-func (m *Module) factSigOf(sig *types.Signature) (factSig, bool) {
-	known := false
-	var fs factSig
-	for i := 0; i < sig.Params().Len(); i++ {
-		f := m.seeds[sig.Params().At(i)]
-		if f != lint.FactNone {
-			known = true
-		}
-		fs.params += f.String() + ","
-	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		f := m.seeds[sig.Results().At(i)]
-		if f != lint.FactNone {
-			known = true
-		}
-		fs.results += f.String() + ","
-	}
-	return fs, known
-}
-
-// plainSig renders a signature without the receiver, for grouping.
-func plainSig(sig *types.Signature) string {
-	noRecv := types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
-	return typeString(noRecv)
-}
-
-// UnitSwap swaps byte/block/partition/chunk index domains: calls to
-// geometry helpers are redirected to a lattice-differentiated twin with an
-// identical Go signature, and geometry constants are replaced by a
-// different-domain constant (an Eq. 1-4 conversion-factor mixup).
+// UnitSwap replaces a geometry constant by a different-domain constant (an
+// Eq. 1-4 conversion-factor mixup). Swapping one index helper for another
+// needs no mutant: internal/meta gives every unit domain its own type, so
+// such a swap no longer compiles.
 type UnitSwap struct{}
 
 // Name implements Operator.
@@ -144,7 +36,7 @@ func (*UnitSwap) Tier() string { return "domain" }
 
 // Doc implements Operator.
 func (*UnitSwap) Doc() string {
-	return "swap byte/block/partition/chunk index helpers and geometry constants (unit-fact lattice)"
+	return "swap geometry constants across byte/block/partition/chunk domains"
 }
 
 // constPartner swaps a geometry constant for one from a different unit
@@ -168,31 +60,20 @@ var constPartner = map[string]string{
 func (op *UnitSwap) Sites(m *Module, p *lint.Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
-		switch e := n.(type) {
-		case *ast.CallExpr:
-			fn := calleeFunc(p, e)
-			partner := m.partners[fn]
-			if partner == nil {
-				return
-			}
-			ident := calleeNameIdent(e)
-			if ident == nil {
-				return
-			}
-			out = append(out, m.identSwapSite(p, op, ident, partner.Name(),
-				fmt.Sprintf("%s resolved as %s: a different unit domain with the same Go type", fn.Name(), partner.Name())))
-		case *ast.Ident:
-			obj := p.Info.Uses[e]
-			if obj == nil || !isMetaConst(obj) {
-				return
-			}
-			partner, ok := constPartner[e.Name]
-			if !ok || inConstDeclOrArrayLen(stack) {
-				return
-			}
-			out = append(out, m.identSwapSite(p, op, e, partner,
-				fmt.Sprintf("geometry constant %s replaced by %s: Eq. 1-4 conversion factor mixup", e.Name, partner)))
+		e, ok := n.(*ast.Ident)
+		if !ok {
+			return
 		}
+		obj := p.Info.Uses[e]
+		if obj == nil || !isMetaConst(obj) {
+			return
+		}
+		partner, ok := constPartner[e.Name]
+		if !ok || inConstDeclOrArrayLen(stack) {
+			return
+		}
+		out = append(out, m.identSwapSite(p, op, e, partner,
+			fmt.Sprintf("geometry constant %s replaced by %s: Eq. 1-4 conversion factor mixup", e.Name, partner)))
 	})
 	return out
 }

@@ -111,8 +111,7 @@ func OperatorByName(name string) (Operator, bool) {
 }
 
 // Module is one loaded module plus the shared indexes the operators and
-// the runner consult: source bytes, the unit-fact seeds, and the
-// (test-inclusive) import graph.
+// the runner consult: source bytes and the (test-inclusive) import graph.
 type Module struct {
 	// Root is the absolute module root directory.
 	Root string
@@ -122,10 +121,8 @@ type Module struct {
 	// order.
 	Pkgs []*lint.Package
 
-	seeds    map[types.Object]lint.Fact
-	partners map[*types.Func]*types.Func
-	src      map[string][]byte
-	routes   *routes
+	src    map[string][]byte
+	routes *routes
 }
 
 // LoadModule loads and type-checks the module containing root with test
@@ -139,15 +136,12 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{
-		Root:  absRoot,
-		Path:  modPath,
-		Pkgs:  pkgs,
-		seeds: lint.SeedUnitFacts(pkgs),
-		src:   map[string][]byte{},
-	}
-	m.partners = m.swapPartners()
-	return m, nil
+	return &Module{
+		Root: absRoot,
+		Path: modPath,
+		Pkgs: pkgs,
+		src:  map[string][]byte{},
+	}, nil
 }
 
 // PackageByPath resolves an import path (exact, or unique suffix match

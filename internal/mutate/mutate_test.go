@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -339,17 +340,21 @@ func TestRealModuleDomainSites(t *testing.T) {
 			t.Errorf("operator %s has no sites in the target packages", op.Name())
 		}
 	}
-	// The lattice-derived partner swaps must include the geometry helpers
-	// the unit-fact seeds differentiate.
+	// Unit swaps are geometry-constant swaps only: index helpers have
+	// distinct domain types, so a helper redirect would not compile.
 	wantSwap := map[string]bool{}
 	for _, s := range sites {
 		if s.Op == "unit-swap" {
 			wantSwap[s.Orig+"->"+s.Repl] = true
 		}
 	}
-	for _, pair := range []string{"BlockSize->PartitionSize", "PartIndex->BlockInChunk"} {
-		if !wantSwap[pair] {
-			t.Errorf("expected unit-swap pair %s missing", pair)
+	if !wantSwap["BlockSize->PartitionSize"] {
+		t.Error("expected unit-swap pair BlockSize->PartitionSize missing")
+	}
+	for pair := range wantSwap {
+		orig := strings.SplitN(pair, "->", 2)[0]
+		if _, ok := constPartner[orig]; !ok {
+			t.Errorf("unit-swap %s is not a geometry-constant swap", pair)
 		}
 	}
 }

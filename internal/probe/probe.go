@@ -122,7 +122,8 @@ func (c CacheKind) String() string {
 // SwitchClass is the Table 2 row of a granularity switch.
 type SwitchClass uint8
 
-// Switch classes, matching core.SwitchStats field for field.
+// Switch classes, matching core.SwitchStats field for field (SwX counts
+// into field X).
 const (
 	SwDownAll SwitchClass = iota
 	SwUpWAR

@@ -13,6 +13,7 @@ import (
 	"unimem/internal/core"
 	"unimem/internal/hetero"
 	"unimem/internal/meta"
+	"unimem/internal/probe"
 	"unimem/internal/stats"
 	"unimem/internal/workload"
 )
@@ -172,32 +173,27 @@ func Fig06(o Options) Figure {
 func Table02(o Options) Figure {
 	o = o.fill()
 	cfg := o.cfg()
-	var agg core.SwitchStats
+	var agg [probe.NumSwitchClasses]uint64
+	var correct, total uint64
 	for _, sc := range o.scenarios() {
-		r := hetero.Run(sc, core.Ours, cfg)
-		s := r.Switches
-		agg.DownAll += s.DownAll
-		agg.UpWAR += s.UpWAR
-		agg.UpWAW += s.UpWAW
-		agg.UpRAR += s.UpRAR
-		agg.UpRAW += s.UpRAW
-		agg.MACDownRO += s.MACDownRO
-		agg.MACDownRW += s.MACDownRW
-		agg.MACUpLazy += s.MACUpLazy
-		agg.Correct += s.Correct
+		s := hetero.Run(sc, core.Ours, cfg).Switches
+		for c := range agg {
+			agg[c] += s.Of(probe.SwitchClass(c))
+		}
+		correct += s.Correct
+		total += s.Total()
 	}
-	total := float64(agg.Total())
-	pct := func(v uint64) float64 { return 100 * float64(v) / total }
+	pct := func(v uint64) float64 { return 100 * float64(v) / float64(total) }
 	t := stats.NewTable("row (counter & tree)", "cost", "ratio %", "paper %")
-	t.Row("Coarse->Fine all", "zero (lazy)", pct(agg.DownAll), 4.4)
-	t.Row("Fine->Coarse WAR", "zero (lazy)", pct(agg.UpWAR), 5.1)
-	t.Row("Fine->Coarse WAW", "zero (lazy)", pct(agg.UpWAW), 3.0)
-	t.Row("Fine->Coarse RAR", "fetch parent..root", pct(agg.UpRAR), 8.8)
-	t.Row("Fine->Coarse RAW", "negligible (cache)", pct(agg.UpRAW), 5.2)
-	t.Row("Correct prediction", "-", pct(agg.Correct), 73.5)
-	t.Row("MAC Coarse->Fine R/O", "fetch fine MACs", pct(agg.MACDownRO), 1.6)
-	t.Row("MAC Coarse->Fine R/W", "fetch data chunk", pct(agg.MACDownRW), 2.8)
-	t.Row("MAC Fine->Coarse", "zero (lazy)", pct(agg.MACUpLazy), 22.1)
+	t.Row("Coarse->Fine all", "zero (lazy)", pct(agg[probe.SwDownAll]), 4.4)
+	t.Row("Fine->Coarse WAR", "zero (lazy)", pct(agg[probe.SwUpWAR]), 5.1)
+	t.Row("Fine->Coarse WAW", "zero (lazy)", pct(agg[probe.SwUpWAW]), 3.0)
+	t.Row("Fine->Coarse RAR", "fetch parent..root", pct(agg[probe.SwUpRAR]), 8.8)
+	t.Row("Fine->Coarse RAW", "negligible (cache)", pct(agg[probe.SwUpRAW]), 5.2)
+	t.Row("Correct prediction", "-", pct(correct), 73.5)
+	t.Row("MAC Coarse->Fine R/O", "fetch fine MACs", pct(agg[probe.SwMACDownRO]), 1.6)
+	t.Row("MAC Coarse->Fine R/W", "fetch data chunk", pct(agg[probe.SwMACDownRW]), 2.8)
+	t.Row("MAC Fine->Coarse", "zero (lazy)", pct(agg[probe.SwMACUpLazy]), 22.1)
 	return Figure{
 		ID:    "table2",
 		Title: "granularity-switch classification and cost (Ours)",

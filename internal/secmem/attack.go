@@ -83,7 +83,7 @@ func (m *Memory) SpliceData(a, b uint64) bool {
 // corruption of the off-chip granularity table (the Morphable-Counters
 // analogue: metadata laid out under one encoding reinterpreted under
 // another). Returns false when the entry already reads sp.
-func (m *Memory) TamperTable(chunk uint64, sp meta.StreamPart) bool {
+func (m *Memory) TamperTable(chunk meta.ChunkIdx, sp meta.StreamPart) bool {
 	if chunk >= m.geom.Chunks() {
 		panic(fmt.Sprintf("secmem: chunk %d outside region", chunk))
 	}
@@ -104,11 +104,11 @@ type Snapshot struct {
 	counters map[counterKey]uint64
 	macs     map[uint64]crypto.MAC
 	nodeMACs map[uint64]crypto.MAC
-	majors   map[uint64]uint64
+	majors   map[meta.ChunkIdx]uint64
 	// table holds {current, next} encodings of chunks with non-default
 	// state, so replay across granularity switches restores a consistent
 	// metadata layout.
-	table map[uint64][2]meta.StreamPart
+	table map[meta.ChunkIdx][2]meta.StreamPart
 }
 
 // Snapshot records current off-chip memory contents.
@@ -119,10 +119,9 @@ func (m *Memory) Snapshot() *Snapshot {
 		macs:     maps.Clone(m.macs),
 		nodeMACs: maps.Clone(m.nodeMACs),
 		majors:   maps.Clone(m.majors),
-		table:    map[uint64][2]meta.StreamPart{},
+		table:    map[meta.ChunkIdx][2]meta.StreamPart{},
 	}
-	//mutate:ignore unit-swap the granularity table is a sparse map, so over-scanning past the region's chunk count reads only zero entries the condition below filters out; the snapshot is unchanged
-	for c := uint64(0); c < m.geom.Chunks(); c++ {
+	for c := range m.geom.Chunks() {
 		cur, next := m.table.Current(c), m.table.Next(c)
 		if cur != 0 || next != cur {
 			s.table[c] = [2]meta.StreamPart{cur, next}

@@ -58,17 +58,17 @@ func FuzzAttackCheck(f *testing.F) {
 					detected, detectedAt = err, "read"
 				}
 			case kind == 6: // promote
-				if err := twin.Promote(chunk, int(val)%60, int(val)%8+1); err != nil {
+				if err := twin.Promote(chunk, meta.PartIdx(val%60), int(val)%8+1); err != nil {
 					continue
 				}
-				if err := v.Promote(chunk, int(val)%60, int(val)%8+1); err != nil {
+				if err := v.Promote(chunk, meta.PartIdx(val%60), int(val)%8+1); err != nil {
 					detected, detectedAt = err, "promote"
 				}
 			case kind == 7: // demote
-				if err := twin.Demote(chunk, int(val)%60, int(val)%8+1); err != nil {
+				if err := twin.Demote(chunk, meta.PartIdx(val%60), int(val)%8+1); err != nil {
 					continue
 				}
-				if err := v.Demote(chunk, int(val)%60, int(val)%8+1); err != nil {
+				if err := v.Demote(chunk, meta.PartIdx(val%60), int(val)%8+1); err != nil {
 					detected, detectedAt = err, "demote"
 				}
 			case kind == 8:
@@ -84,7 +84,7 @@ func FuzzAttackCheck(f *testing.F) {
 				if !written[addr] {
 					continue
 				}
-				p := int(meta.BlockIndex(addr)%meta.BlocksPerChunk) / (meta.BlocksPerChunk / meta.PartsPerChunk)
+				p := meta.PartIndex(addr)
 				cur := v.Table().Current(chunk)
 				sp := cur.PromoteMask(p, 1)
 				if cur.IsStream(p) {
@@ -106,16 +106,16 @@ func FuzzAttackCheck(f *testing.F) {
 		// require error iff the off-chip images differ.
 		var sweepErr error
 	sweep:
-		for chunk := uint64(0); chunk < 2; chunk++ {
+		for chunk := meta.ChunkIdx(0); chunk < 2; chunk++ {
 			sp := v.Table().Current(chunk)
-			for b := 0; b < meta.BlocksPerChunk; {
+			for b := meta.ChunkBlock(0); b < meta.BlocksPerChunk; {
 				u := sp.UnitOf(b)
-				addr := chunk*meta.ChunkSize + uint64(u.Block)*meta.BlockSize
+				addr := chunk.Base() + u.Block.Offset()
 				if err := v.Check(addr); err != nil {
 					sweepErr = err
 					break sweep
 				}
-				b = u.Block + u.Blocks()
+				b = u.End()
 			}
 		}
 		if diverged && sweepErr == nil {

@@ -69,9 +69,9 @@ const nestedSlots = 1 + 8 + 64
 // nestedSlot numbers a chunk's coarse units like the nodes of a complete
 // 8-ary tree: the 32KB unit is 0, the 4KB units 1..8, the 512B units
 // 9..72. first is the unit's first block in the chunk, n its block count.
-func nestedSlot(first, n int) int {
+func nestedSlot(first meta.ChunkBlock, n int) int {
 	k := meta.BlocksPerChunk / n // units of this size per chunk
-	return (k-1)/7 + first/n
+	return (k-1)/7 + int(first)/n
 }
 
 // memo is a Memory's MAC memo: block and nested records in per-chunk
@@ -81,7 +81,7 @@ type memo struct {
 	nodes map[uint64]*nodeRec
 }
 
-func (mm *memo) page(chunk uint64) *memoPage {
+func (mm *memo) page(chunk meta.ChunkIdx) *memoPage {
 	p := mm.pages[chunk]
 	if p == nil {
 		p = new(memoPage)
@@ -110,7 +110,7 @@ func (m *Memory) nestedMAC(base uint64, gran meta.Gran, fines []crypto.MAC) cryp
 	p := m.memo.page(meta.ChunkIndex(base))
 	n, first := len(fines), meta.BlockInChunk(base)
 	r := &p.nested[nestedSlot(first, n)]
-	in := p.fines[gran.Level()-1][first : first+n]
+	in := p.fines[gran.Level()-1][first : first+meta.ChunkBlock(n)]
 	if r.ok && r.base == base && r.n == n && slices.Equal(in, fines) {
 		m.Stats.NestedSteps.Reused += uint64(n)
 		return r.mac

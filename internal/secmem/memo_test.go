@@ -156,7 +156,7 @@ func TestMemoComparesEveryField(t *testing.T) {
 func TestNestedSlotsAreDistinct(t *testing.T) {
 	seen := map[int]meta.Unit{}
 	for g := meta.Gran512; g <= meta.Gran32K; g++ {
-		for first := 0; first < meta.BlocksPerChunk; first += g.Blocks() {
+		for first := meta.ChunkBlock(0); first < meta.BlocksPerChunk; first += meta.ChunkBlock(g.Blocks()) {
 			s := nestedSlot(first, g.Blocks())
 			u := meta.Unit{Block: first, Gran: g}
 			if prev, dup := seen[s]; dup || s < 0 || s >= nestedSlots {
@@ -185,9 +185,9 @@ func checkMemo(t *testing.T, m *Memory, oracle *crypto.Engine) {
 		}
 		for g := meta.Gran512; g <= meta.Gran32K; g++ {
 			n := g.Blocks()
-			for first := 0; first < meta.BlocksPerChunk; first += n {
+			for first := meta.ChunkBlock(0); first < meta.BlocksPerChunk; first += meta.ChunkBlock(n) {
 				r := p.nested[nestedSlot(first, n)]
-				if r.ok && (r.n != n || r.mac != oracle.NestedMAC(p.fines[g.Level()-1][first:first+n])) {
+				if r.ok && (r.n != n || r.mac != oracle.NestedMAC(p.fines[g.Level()-1][first:first+meta.ChunkBlock(n)])) {
 					t.Fatalf("chunk %d %v unit at block %d: memoized NestedMAC does not match its input", c, g, first)
 				}
 			}
@@ -253,7 +253,7 @@ func TestMemoMatchesRecomputationProperty(t *testing.T) {
 				d, err = f.Read(a)
 				want = verdict(d, err)
 			case k < 12:
-				chunk, first, count := uint64(rng.Intn(2)), rng.Intn(56), rng.Intn(8)+1
+				chunk, first, count := meta.ChunkIdx(rng.Intn(2)), meta.PartIdx(rng.Intn(56)), rng.Intn(8)+1
 				if k == 10 {
 					got, want = verdict(nil, m.Promote(chunk, first, count)), verdict(nil, f.Promote(chunk, first, count))
 				} else {

@@ -34,7 +34,7 @@ func (m *Memory) SetCounterWidth(bits int) {
 }
 
 // effectiveCtr combines a chunk's major epoch with a minor counter value.
-func (m *Memory) effectiveCtr(chunk uint64, minor uint64) uint64 {
+func (m *Memory) effectiveCtr(chunk meta.ChunkIdx, minor uint64) uint64 {
 	if m.ctrBits == 0 {
 		return minor
 	}
@@ -53,15 +53,15 @@ func (m *Memory) minorLimit() uint64 {
 // advances and every written block of the chunk is re-encrypted under its
 // new effective counter, with all unit MACs recomputed — the overflow
 // cost real split-counter designs pay (cf. Morphable Counters [41]).
-func (m *Memory) bumpMajor(chunk uint64) error {
+func (m *Memory) bumpMajor(chunk meta.ChunkIdx) error {
 	sp := m.table.Current(chunk)
-	chunkBase := chunk * meta.ChunkSize
+	chunkBase := chunk.Base()
 	units := sp.Units()
 
 	// Verify and stage everything under the old epoch first: an epoch bump
 	// that resealed tampered ciphertext would launder the tamper.
 	for _, u := range units {
-		if _, err := m.captureUnit(chunkBase+uint64(u.Block)*meta.BlockSize, u.Gran, sp); err != nil {
+		if _, err := m.captureUnit(chunkBase+u.Block.Offset(), u.Gran, sp); err != nil {
 			return err
 		}
 	}
@@ -72,22 +72,15 @@ func (m *Memory) bumpMajor(chunk uint64) error {
 	// Re-encrypt and reseal every touched unit under the new epoch; minors
 	// are unchanged, so each unit's counter reads as captured.
 	for _, u := range units {
-		base := chunkBase + uint64(u.Block)*meta.BlockSize
+		base := chunkBase + u.Block.Offset()
 		minor := m.unitCounter(base, u.Gran)
-		if minor == 0 && !m.anyHeld(u) {
-			continue // untouched unit: stays pristine
+		if minor == 0 {
+			// Never written: every path that stores ciphertext in a
+			// unit also gives it a counter, so nothing is staged here
+			// and the unit stays pristine.
+			continue
 		}
 		m.sealUnit(base, u.Gran, m.effectiveCtr(chunk, minor))
 	}
 	return nil
-}
-
-// anyHeld reports whether the last capture staged any block of unit u.
-func (m *Memory) anyHeld(u meta.Unit) bool {
-	for _, h := range m.held[u.Block : u.Block+u.Blocks()] {
-		if h {
-			return true
-		}
-	}
-	return false
 }

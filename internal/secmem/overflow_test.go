@@ -49,7 +49,7 @@ func TestOverflowKeepsReplayDetection(t *testing.T) {
 func TestMajorTamperDetected(t *testing.T) {
 	m := newBounded(4)
 	mustWrite(t, m, 0, block(1))
-	chunk := uint64(0)
+	chunk := meta.ChunkIdx(0)
 	m.majors[chunk]++ // attacker bumps the off-chip major directly
 	if _, err := m.Read(0); err == nil {
 		t.Fatal("major-counter tamper undetected")
@@ -109,6 +109,8 @@ func TestOverflowSurvivesSaveLoad(t *testing.T) {
 }
 
 func TestSetCounterWidthGuards(t *testing.T) {
+	New(1<<20, 1).SetCounterWidth(0) // both ends of the range are accepted
+	New(1<<20, 1).SetCounterWidth(63)
 	m := New(1<<20, 1)
 	mustWrite(t, m, 0, block(1))
 	for _, f := range []func(){

@@ -2,11 +2,12 @@ package secmem
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"unimem/internal/crypto"
 	"unimem/internal/meta"
@@ -75,35 +76,32 @@ func (m *Memory) Save(w io.Writer) (roots []uint64, err error) {
 	for k := range m.counters {
 		ctrKeys = append(ctrKeys, k)
 	}
-	sort.Slice(ctrKeys, func(i, j int) bool {
-		if ctrKeys[i].level != ctrKeys[j].level {
-			return ctrKeys[i].level < ctrKeys[j].level
-		}
-		return ctrKeys[i].entry < ctrKeys[j].entry
+	slices.SortFunc(ctrKeys, func(a, b counterKey) int {
+		return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.entry, b.entry))
 	})
 	for _, k := range ctrKeys {
-		put(uint64(k.level), k.entry, m.counters[k])
+		put(uint64(k.level), uint64(k.entry), m.counters[k])
 	}
 	putMACs(m.macs)
 	putMACs(m.nodeMACs)
 	// Granularity table: per non-default chunk, its current encoding.
 	type chunkSP struct {
-		chunk uint64
+		chunk meta.ChunkIdx
 		sp    meta.StreamPart
 	}
 	var chunks []chunkSP
-	for c := uint64(0); c < m.geom.Chunks(); c++ {
+	for c := range m.geom.Chunks() {
 		if sp := m.table.Current(c); sp != 0 {
 			chunks = append(chunks, chunkSP{c, sp})
 		}
 	}
 	put(uint64(len(chunks)))
 	for _, c := range chunks {
-		put(c.chunk, uint64(c.sp))
+		put(uint64(c.chunk), uint64(c.sp))
 	}
 	put(uint64(len(m.majors)))
 	for _, c := range sortedKeys(m.majors) {
-		put(c, m.majors[c])
+		put(uint64(c), m.majors[c])
 	}
 	if err != nil {
 		return nil, err
@@ -116,12 +114,12 @@ func (m *Memory) Save(w io.Writer) (roots []uint64, err error) {
 
 // sortedKeys returns the keys of a uint64-keyed map in ascending order —
 // the deterministic iteration order Save emits every section in.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
+func sortedKeys[K ~uint64, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -187,7 +185,7 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("%w: truncated counters", ErrImageFormat)
 		}
-		m.counters[counterKey{int(level), entry}] = val
+		m.counters[counterKey{int(level), meta.EntryIdx(entry)}] = val
 	}
 	readMACs := func(dst map[uint64]crypto.MAC) error {
 		n, err := read()
@@ -222,8 +220,8 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("%w: truncated granularity table", ErrImageFormat)
 		}
-		m.table.SetNext(chunk, meta.StreamPart(sp))
-		m.table.CommitAll(chunk)
+		m.table.SetNext(meta.ChunkIdx(chunk), meta.StreamPart(sp))
+		m.table.CommitAll(meta.ChunkIdx(chunk))
 	}
 	if n, err = read(); err != nil {
 		return nil, err
@@ -234,7 +232,7 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("%w: truncated majors", ErrImageFormat)
 		}
-		m.majors[chunk] = val
+		m.majors[meta.ChunkIdx(chunk)] = val
 	}
 
 	// Authenticate: every written counter entry must verify against the
@@ -248,11 +246,11 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 // verifyImage checks the counter chains of every touched top-level region
 // against the on-chip roots.
 func (m *Memory) verifyImage() error {
-	seen := map[uint64]bool{}
+	seen := map[int]bool{}
 	for k := range m.counters {
 		// Verify from this entry's level upward; dedupe by top-level line.
-		blockIdx := k.entry << (3 * uint(k.level))
-		top := blockIdx >> (3 * uint(m.geom.Levels()))
+		blockIdx := k.entry.FirstBlock(k.level)
+		top := m.geom.RootSlot(blockIdx)
 		if seen[top] {
 			continue
 		}

@@ -47,14 +47,14 @@ func interpSmall(t *testing.T, ops []op) bool {
 				return false
 			}
 		case o.kind == 6:
-			chunk := uint64(o.sel) % 2
-			if err := m.Promote(chunk, int(o.val)%60, int(o.val)%8+1); err != nil {
+			chunk := meta.ChunkIdx(o.sel % 2)
+			if err := m.Promote(chunk, meta.PartIdx(o.val%60), int(o.val)%8+1); err != nil {
 				t.Logf("promote error: %v", err)
 				return false
 			}
 		default:
-			chunk := uint64(o.sel) % 2
-			if err := m.Demote(chunk, int(o.val)%60, int(o.val)%8+1); err != nil {
+			chunk := meta.ChunkIdx(o.sel % 2)
+			if err := m.Demote(chunk, meta.PartIdx(o.val%60), int(o.val)%8+1); err != nil {
 				t.Logf("demote error: %v", err)
 				return false
 			}

@@ -20,7 +20,7 @@ func granChunks(t testing.TB) *Memory {
 	for g := meta.Gran64; g <= meta.Gran32K; g++ {
 		base := uint64(g) * meta.ChunkSize
 		if g != meta.Gran64 {
-			if err := m.Promote(uint64(g), 0, int(g.Bytes()/meta.PartitionSize)); err != nil {
+			if err := m.Promote(meta.ChunkIdx(g), 0, int(g.Bytes()/meta.PartitionSize)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -30,7 +30,7 @@ var (
 
 type counterKey struct {
 	level int
-	entry uint64
+	entry meta.EntryIdx
 }
 
 // Memory is one protected memory image.
@@ -48,7 +48,7 @@ type Memory struct {
 	// Bounded-counter state (see overflow.go). ctrBits == 0 means
 	// unbounded minors (no overflow handling needed).
 	ctrBits int
-	majors  map[uint64]uint64 // per-chunk major epoch, off-chip
+	majors  map[meta.ChunkIdx]uint64 // per-chunk major epoch, off-chip
 
 	// prb, when non-nil, receives EvSwitchWindow events while a lazy
 	// granularity switch has verified-and-captured a chunk but not yet
@@ -112,7 +112,7 @@ func New(regionBytes uint64, seed uint64) *Memory {
 		macs:     map[uint64]crypto.MAC{},
 		nodeMACs: map[uint64]crypto.MAC{},
 		roots:    make([]uint64, g.RootEntries()),
-		majors:   map[uint64]uint64{},
+		majors:   map[meta.ChunkIdx]uint64{},
 		memo:     memo{pages: make([]*memoPage, g.Chunks()), nodes: map[uint64]*nodeRec{}},
 	}
 }
@@ -138,7 +138,7 @@ func (m *Memory) checkAddr(addr uint64) {
 
 // --- counter access -------------------------------------------------------
 
-func (m *Memory) readCounter(level int, entry uint64) uint64 {
+func (m *Memory) readCounter(level int, entry meta.EntryIdx) uint64 {
 	if level >= m.geom.Levels() {
 		return m.roots[entry]
 	}
@@ -149,7 +149,7 @@ func (m *Memory) readCounter(level int, entry uint64) uint64 {
 // the parent counter is bumped to version the modified line, recursively
 // to the on-chip root, and the line's node MAC is recomputed under the new
 // parent value.
-func (m *Memory) writeCounter(level int, entry uint64, val uint64) {
+func (m *Memory) writeCounter(level int, entry meta.EntryIdx, val uint64) {
 	if level >= m.geom.Levels() {
 		m.roots[entry] = val
 		return
@@ -161,22 +161,24 @@ func (m *Memory) writeCounter(level int, entry uint64, val uint64) {
 	m.sealLine(level, line, parentVal)
 }
 
-func (m *Memory) lineEntries(level int, line uint64) [meta.Arity]uint64 {
+// A line of level l holds the Arity entries that share one parent: its
+// index is the parent's entry index at level l+1.
+
+func (m *Memory) lineEntries(level int, line meta.EntryIdx) [meta.Arity]uint64 {
 	var out [meta.Arity]uint64
-	for i := range out {
-		out[i] = m.readCounter(level, line*meta.Arity+uint64(i))
+	for i := range meta.EntryIdx(meta.Arity) {
+		out[i] = m.readCounter(level, line*meta.Arity+i)
 	}
 	return out
 }
 
-func (m *Memory) lineAddr(level int, line uint64) uint64 {
-	// CounterLineAddr expects a block index; the first block the line
-	// covers is line*Arity^(level+1) ... reconstruct via entry index.
-	blockIdx := line * meta.Arity << (3 * uint(level))
-	return m.geom.CounterLineAddr(level, blockIdx)
+func (m *Memory) lineAddr(level int, line meta.EntryIdx) uint64 {
+	// CounterLineAddr expects a block index: take the first block the
+	// line's first entry covers.
+	return m.geom.CounterLineAddr(level, (line * meta.Arity).FirstBlock(level))
 }
 
-func (m *Memory) sealLine(level int, line uint64, parentVal uint64) {
+func (m *Memory) sealLine(level int, line meta.EntryIdx, parentVal uint64) {
 	addr := m.lineAddr(level, line)
 	ents := m.lineEntries(level, line)
 	m.nodeMACs[addr] = m.nodeMAC(addr, parentVal, &ents)
@@ -185,7 +187,7 @@ func (m *Memory) sealLine(level int, line uint64, parentVal uint64) {
 // verifyChain checks the tree from the counter line at startLevel covering
 // blockIdx up to the on-chip root (paper Fig. 2 / section 2.2; the
 // multi-granular tree starts at the promoted level, Fig. 10).
-func (m *Memory) verifyChain(startLevel int, blockIdx uint64) error {
+func (m *Memory) verifyChain(startLevel int, blockIdx meta.BlockIdx) error {
 	for level := startLevel; level < m.geom.Levels(); level++ {
 		entry := m.geom.CounterEntryIndex(level, blockIdx)
 		line := entry / meta.Arity
@@ -209,7 +211,7 @@ func (m *Memory) verifyChain(startLevel int, blockIdx uint64) error {
 	return nil
 }
 
-func (m *Memory) lineZero(level int, line uint64) bool {
+func (m *Memory) lineZero(level int, line meta.EntryIdx) bool {
 	for _, v := range m.lineEntries(level, line) {
 		if v != 0 {
 			return false
@@ -225,7 +227,7 @@ func (m *Memory) lineZero(level int, line uint64) bool {
 func (m *Memory) unitOf(addr uint64) (base uint64, gran meta.Gran) {
 	sp := m.table.Current(meta.ChunkIndex(addr))
 	u := sp.UnitOf(meta.BlockInChunk(addr))
-	return meta.ChunkBase(addr) + uint64(u.Block)*meta.BlockSize, u.Gran
+	return meta.ChunkBase(addr) + u.Block.Offset(), u.Gran
 }
 
 // unitCounter returns the version counter of the unit (at the promoted
@@ -281,11 +283,11 @@ func (m *Memory) captureUnit(base uint64, gran meta.Gran, sp meta.StreamPart) (u
 	}
 	first := meta.BlockInChunk(base)
 	for i := 0; i < gran.Blocks(); i++ {
-		a := base + uint64(i*meta.BlockSize)
+		a, b := base+uint64(i*meta.BlockSize), first+meta.ChunkBlock(i)
 		ct, ok := m.data[a]
-		m.held[first+i] = ok
+		m.held[b] = ok
 		if ok {
-			m.eng.OpenInto(&m.plain[first+i], a, eff, ct[:])
+			m.eng.OpenInto(&m.plain[b], a, eff, ct[:])
 		}
 	}
 	return minor, nil
@@ -299,10 +301,10 @@ func (m *Memory) sealUnit(base uint64, gran meta.Gran, eff uint64) {
 	first := meta.BlockInChunk(base)
 	fines := m.fines[:gran.Blocks()]
 	for i := range fines {
-		a := base + uint64(i*meta.BlockSize)
+		a, b := base+uint64(i*meta.BlockSize), first+meta.ChunkBlock(i)
 		var ct [meta.BlockSize]byte
-		if m.held[first+i] {
-			m.eng.SealInto(&ct, a, eff, m.plain[first+i][:])
+		if m.held[b] {
+			m.eng.SealInto(&ct, a, eff, m.plain[b][:])
 			m.data[a] = ct
 		}
 		fines[i] = m.blockMAC(a, eff, &ct)
@@ -368,8 +370,8 @@ func (m *Memory) Write(addr uint64, plaintext []byte) error {
 
 	// Stage the new unit contents: never-written members as zeros, the
 	// written block as given. Every member is then materialized.
-	first := meta.BlockInChunk(base)
-	for i := first; i < first+gran.Blocks(); i++ {
+	u := meta.Unit{Gran: gran, Block: meta.BlockInChunk(base)}
+	for i := u.Block; i < u.End(); i++ {
 		if !m.held[i] {
 			m.plain[i] = [meta.BlockSize]byte{}
 			m.held[i] = true

@@ -3,6 +3,8 @@ package secmem
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"unimem/internal/meta"
@@ -101,17 +103,21 @@ func TestCounterTamperDetected(t *testing.T) {
 }
 
 func TestTamperCounterOnChipReportsImpossible(t *testing.T) {
-	// Promote the whole chunk to 32KB. In a region this small the 32KB
-	// protection level sits at or above the on-chip root array, so the
-	// counter is out of the attacker's reach and the primitive must say so
-	// instead of silently no-oping.
-	m := newMem()
+	// Promote the whole chunk to 32KB in the largest region whose 32KB
+	// protection level is exactly the stored level count: the counter sits
+	// in the on-chip root array, out of the attacker's reach, and the
+	// primitive must say so instead of silently no-oping.
+	size := uint64(meta.ChunkSize)
+	for meta.NewGeometry(2*size).Levels() <= meta.Gran32K.Level() {
+		size *= 2
+	}
+	if meta.NewGeometry(size).Levels() != meta.Gran32K.Level() {
+		t.Fatalf("no region has exactly %d stored levels", meta.Gran32K.Level())
+	}
+	m := New(size, 42)
 	mustWrite(t, m, 0, block(1))
 	if err := m.ApplyDetection(0, meta.AllStream); err != nil {
 		t.Fatal(err)
-	}
-	if m.GranOf(0).Level() < m.geom.Levels() {
-		t.Skip("region large enough that 32KB counters are off chip")
 	}
 	if m.TamperCounter(0) {
 		t.Fatal("TamperCounter claimed to land on an on-chip counter")
@@ -338,11 +344,13 @@ func TestWriteAlignmentPanics(t *testing.T) {
 	_ = m.Write(1, block(0))
 }
 
+// TestOutOfRangePanics: the first address past the region is rejected by
+// the region check itself, not by whatever index overflows later.
 func TestOutOfRangePanics(t *testing.T) {
 	m := newMem()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range read did not panic")
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside protected region") {
+			t.Fatalf("out-of-range read: panic %v, want the region check's", r)
 		}
 	}()
 	_, _ = m.Read(region)

@@ -14,7 +14,7 @@ import (
 // existing ciphertext stays valid and only fine MACs are regenerated.
 // MAC slots are recomputed for every unit because compaction (Fig. 9)
 // moves slots when any partition of the chunk changes.
-func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
+func (m *Memory) ApplyDetection(chunk meta.ChunkIdx, newSP meta.StreamPart) error {
 	if chunk >= m.geom.Chunks() {
 		panic(fmt.Sprintf("secmem: chunk %d outside region", chunk))
 	}
@@ -22,7 +22,7 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 	if oldSP == newSP {
 		return nil
 	}
-	chunkBase := chunk * meta.ChunkSize
+	chunkBase := chunk.Base()
 
 	// Scale-up assigns max(children)+1; if that would saturate a bounded
 	// minor counter, bump the chunk's major epoch first. Demotion-only
@@ -31,7 +31,7 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 	// property).
 	if m.ctrBits != 0 && anyScaleUp(oldSP, newSP) {
 		for _, u := range oldSP.Units() {
-			base := chunkBase + uint64(u.Block)*meta.BlockSize
+			base := chunkBase + u.Block.Offset()
 			if m.unitCounter(base, u.Gran)+1 >= m.minorLimit() {
 				if err := m.bumpMajor(chunk); err != nil {
 					return err
@@ -49,7 +49,7 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 	// be laundered into fresh MACs.
 	var oldCtrs [meta.BlocksPerChunk]uint64 // old unit counters, by first block
 	for _, u := range oldSP.Units() {
-		base := chunkBase + uint64(u.Block)*meta.BlockSize
+		base := chunkBase + u.Block.Offset()
 		ctr, err := m.captureUnit(base, u.Gran, oldSP)
 		if err != nil {
 			return err
@@ -59,7 +59,7 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 	}
 	// oldOf returns the old unit covering block b of the chunk and its
 	// counter.
-	oldOf := func(b int) (meta.Unit, uint64) {
+	oldOf := func(b meta.ChunkBlock) (meta.Unit, uint64) {
 		u := oldSP.UnitOf(b)
 		return u, oldCtrs[u.Block]
 	}
@@ -81,7 +81,7 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 	}
 
 	for _, u := range newSP.Units() {
-		base := chunkBase + uint64(u.Block)*meta.BlockSize
+		base := chunkBase + u.Block.Offset()
 		level := u.Gran.Level()
 		entry := m.geom.CounterEntryIndex(level, meta.BlockIndex(base))
 
@@ -112,10 +112,9 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 			// well-defined contents.
 			m.Stats.Promotions++
 			var maxCtr uint64
-			for b := u.Block; b < u.Block+u.Blocks(); b++ {
-				if _, c := oldOf(b); c > maxCtr {
-					maxCtr = c
-				}
+			for b := u.Block; b < u.End(); b++ {
+				_, c := oldOf(b)
+				maxCtr = max(maxCtr, c)
 				if !m.held[b] {
 					m.plain[b] = [meta.BlockSize]byte{}
 					m.held[b] = true
@@ -129,23 +128,19 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 	return nil
 }
 
-// anyScaleUp reports whether the transition promotes any partition.
-func anyScaleUp(oldSP, newSP meta.StreamPart) bool {
-	for p := 0; p < meta.PartsPerChunk; p++ {
-		if newSP.GranOf(p) > oldSP.GranOf(p) {
-			return true
-		}
-	}
-	return false
-}
+// anyScaleUp reports whether the transition promotes any partition. A
+// partition's granularity grows only with a bit newly set in its own,
+// its 4KB group's or the chunk's encoding, and a newly set bit promotes
+// its own partition from 64B, so any newly set bit is a promotion.
+func anyScaleUp(oldSP, newSP meta.StreamPart) bool { return newSP&^oldSP != 0 }
 
 // Promote raises the granularity of the partitions [first, first+count) of
 // a chunk to stream partitions, keeping the rest unchanged.
-func (m *Memory) Promote(chunk uint64, first, count int) error {
+func (m *Memory) Promote(chunk meta.ChunkIdx, first meta.PartIdx, count int) error {
 	return m.ApplyDetection(chunk, m.table.Current(chunk).PromoteMask(first, count))
 }
 
 // Demote lowers the partitions [first, first+count) back to fine-grained.
-func (m *Memory) Demote(chunk uint64, first, count int) error {
+func (m *Memory) Demote(chunk meta.ChunkIdx, first meta.PartIdx, count int) error {
 	return m.ApplyDetection(chunk, m.table.Current(chunk).DemoteMask(first, count))
 }

@@ -61,7 +61,7 @@ func (c EvictCause) String() string {
 // Detection is the output of Algorithm 1 for one evicted entry.
 type Detection struct {
 	// Chunk is the 32KB chunk index.
-	Chunk uint64
+	Chunk meta.ChunkIdx
 	// Stream is the detected stream-partition bitmap.
 	Stream meta.StreamPart
 	// Touched marks partitions with at least one access in the window:
@@ -74,7 +74,7 @@ type Detection struct {
 
 type entry struct {
 	valid   bool
-	chunk   uint64
+	chunk   meta.ChunkIdx
 	bits    [Words]uint64
 	count   int
 	born    sim.Time
@@ -147,7 +147,7 @@ func (t *Tracker) sweepExpired(now sim.Time, out *[]Detection) {
 }
 
 // lookup finds the chunk's entry, expiring it first if its window ended.
-func (t *Tracker) lookup(chunk uint64, now sim.Time, out *[]Detection) int {
+func (t *Tracker) lookup(chunk meta.ChunkIdx, now sim.Time, out *[]Detection) int {
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.valid && e.chunk == chunk {

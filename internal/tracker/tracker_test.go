@@ -153,7 +153,7 @@ func TestCauseStrings(t *testing.T) {
 func TestDetectProperty(t *testing.T) {
 	f := func(raw [Words]uint64) bool {
 		sp := Detect(&raw)
-		for p := 0; p < meta.PartsPerChunk; p++ {
+		for p := meta.PartIdx(0); p < meta.PartsPerChunk; p++ {
 			all := byte(raw[p/8]>>(uint(p%8)*8)) == 0xff
 			if sp.IsStream(p) != all {
 				return false
@@ -176,7 +176,7 @@ func TestSequentialWalkDetectsStreamProperty(t *testing.T) {
 		for b := 0; b < meta.BlocksPerChunk; b++ {
 			dets = append(dets, tr.Access(base+uint64(b*meta.BlockSize), 5)...)
 		}
-		return len(dets) == 1 && dets[0].Stream == meta.AllStream && dets[0].Chunk == uint64(chunkSeed)
+		return len(dets) == 1 && dets[0].Stream == meta.AllStream && dets[0].Chunk == meta.ChunkIdx(chunkSeed)
 	}
 	if err := quick.Check(f, quickCfg(20)); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestAccessRangeEquivalenceProperty(t *testing.T) {
 		if len(detA) != len(detB) {
 			return false
 		}
-		seen := map[uint64]meta.StreamPart{}
+		seen := map[meta.ChunkIdx]meta.StreamPart{}
 		for _, d := range detA {
 			seen[d.Chunk] = d.Stream
 		}

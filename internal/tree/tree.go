@@ -59,14 +59,14 @@ type Walker struct {
 	meta *cache.Cache
 	cfg  Config
 
-	rootCache *cache.Cache    // subtree root registers, modelled as 1-way-per-entry LRU
-	touched   map[uint64]bool // chunks written since boot (for PruneUnused)
-	buf       []uint64        // reused Fetches backing store (see Read/Write)
+	rootCache *cache.Cache           // subtree root registers, modelled as 1-way-per-entry LRU
+	touched   map[meta.ChunkIdx]bool // chunks written since boot (for PruneUnused)
+	buf       []uint64               // reused Fetches backing store (see Read/Write)
 }
 
 // New builds a walker over a geometry and a shared metadata cache.
 func New(geom *meta.Geometry, metaCache *cache.Cache, cfg Config) *Walker {
-	w := &Walker{geom: geom, meta: metaCache, cfg: cfg, touched: map[uint64]bool{}}
+	w := &Walker{geom: geom, meta: metaCache, cfg: cfg, touched: map[meta.ChunkIdx]bool{}}
 	if cfg.Subtree {
 		if cfg.SubtreeEntries <= 0 {
 			cfg.SubtreeEntries = 64
@@ -82,20 +82,20 @@ func New(geom *meta.Geometry, metaCache *cache.Cache, cfg Config) *Walker {
 	return w
 }
 
-func (w *Walker) subtreeID(blockIdx uint64) uint64 {
+func (w *Walker) subtreeID(blockIdx meta.BlockIdx) uint64 {
 	//mutate:ignore unit-swap the root cache has a single set, so any injective per-subtree multiplier yields identical hit/miss behavior; the scale constant is cosmetic
-	return blockIdx >> (3 * uint(w.cfg.SubtreeLevel)) * meta.BlockSize // one pseudo-line per subtree
+	return uint64(blockIdx>>(3*uint(w.cfg.SubtreeLevel))) * meta.BlockSize // one pseudo-line per subtree
 }
 
 // MarkTouched records that the chunk holding blockIdx now has live tree
 // state (called on writes).
-func (w *Walker) MarkTouched(blockIdx uint64) {
-	w.touched[blockIdx/meta.BlocksPerChunk] = true
+func (w *Walker) MarkTouched(blockIdx meta.BlockIdx) {
+	w.touched[blockIdx.Chunk()] = true
 }
 
 // Touched reports whether the chunk holding blockIdx has been written.
-func (w *Walker) Touched(blockIdx uint64) bool {
-	return w.touched[blockIdx/meta.BlocksPerChunk]
+func (w *Walker) Touched(blockIdx meta.BlockIdx) bool {
+	return w.touched[blockIdx.Chunk()]
 }
 
 // Read walks the tree for a read of a unit whose counter lives at
@@ -106,13 +106,13 @@ func (w *Walker) Touched(blockIdx uint64) bool {
 // is valid only until the walker's next Read or Write; callers consume it
 // before walking again (the engine does), keeping the hot path free of
 // per-walk allocations.
-func (w *Walker) Read(blockIdx uint64, startLevel int) Walk {
+func (w *Walker) Read(blockIdx meta.BlockIdx, startLevel int) Walk {
 	walk := w.read(blockIdx, startLevel)
 	w.buf = walk.Fetches
 	return walk
 }
 
-func (w *Walker) read(blockIdx uint64, startLevel int) Walk {
+func (w *Walker) read(blockIdx meta.BlockIdx, startLevel int) Walk {
 	walk := Walk{Fetches: w.buf[:0]}
 	if w.cfg.PruneUnused && !w.Touched(blockIdx) {
 		walk.Pruned = true
@@ -159,13 +159,13 @@ func (w *Walker) assertFetch(walk *Walk, addr uint64) {
 // updated (paper Fig. 14). Cached levels update in place; missing levels
 // are fetched (read traffic) and dirtied. Fetches aliases walker scratch
 // exactly as for Read.
-func (w *Walker) Write(blockIdx uint64, startLevel int) Walk {
+func (w *Walker) Write(blockIdx meta.BlockIdx, startLevel int) Walk {
 	walk := w.write(blockIdx, startLevel)
 	w.buf = walk.Fetches
 	return walk
 }
 
-func (w *Walker) write(blockIdx uint64, startLevel int) Walk {
+func (w *Walker) write(blockIdx meta.BlockIdx, startLevel int) Walk {
 	walk := Walk{Fetches: w.buf[:0]}
 	w.MarkTouched(blockIdx)
 	for level := startLevel; level < w.geom.Levels(); level++ {
@@ -191,7 +191,7 @@ func (w *Walker) write(blockIdx uint64, startLevel int) Walk {
 // subtreeStop consults the root registers when the walk reaches the
 // subtree level; a hit terminates the walk at an on-chip trusted root, a
 // miss installs the root (hotness-by-LRU) and lets the walk continue.
-func (w *Walker) subtreeStop(blockIdx uint64, level int, walk *Walk) bool {
+func (w *Walker) subtreeStop(blockIdx meta.BlockIdx, level int, walk *Walk) bool {
 	if !w.cfg.Subtree || level != w.cfg.SubtreeLevel {
 		return false
 	}

@@ -100,8 +100,8 @@ func TestSubtreeRootHitStopsWalk(t *testing.T) {
 func TestSubtreeRootLRUCapacity(t *testing.T) {
 	w, mc := newWalker(Config{Subtree: true, SubtreeLevel: 3, SubtreeEntries: 2})
 	// Touch chunks 0,1,2: chunk 0's register is evicted.
-	for c := uint64(0); c < 3; c++ {
-		w.Read(c*meta.BlocksPerChunk, 0)
+	for c := meta.ChunkIdx(0); c < 3; c++ {
+		w.Read(c.Block(0), 0)
 	}
 	mc.Reset()
 	walk := w.Read(0, 0)
@@ -132,7 +132,7 @@ func TestWritebackPropagation(t *testing.T) {
 	w := New(geom, mc, Config{})
 	w.Write(0, 0)
 	total := 0
-	for blk := uint64(0); blk < 64*8; blk += 8 {
+	for blk := meta.BlockIdx(0); blk < 64*8; blk += 8 {
 		walk := w.Write(blk, 0)
 		total += walk.Writebacks
 	}
@@ -156,5 +156,20 @@ func TestDefaultSubtreeConfig(t *testing.T) {
 	cfg := DefaultSubtree()
 	if !cfg.Subtree || !cfg.PruneUnused || cfg.SubtreeLevel != 3 || cfg.SubtreeEntries != 64 {
 		t.Fatalf("default subtree config = %+v", cfg)
+	}
+}
+
+// TestSubtreeZeroEntriesDefaults: a subtree configuration without a
+// register count gets the default 64 registers (the boundary of New's
+// <= 0 guard), not an unusable zero-entry register file: all 32 chunks of
+// the 1MB region keep their subtree roots on chip.
+func TestSubtreeZeroEntriesDefaults(t *testing.T) {
+	w, mc := newWalker(Config{Subtree: true, SubtreeLevel: 3})
+	for c := meta.ChunkIdx(0); c < 32; c++ {
+		w.Read(c.Block(0), 0)
+	}
+	mc.Reset()
+	if walk := w.Read(0, 0); !walk.SubtreeHit {
+		t.Fatalf("walk = %+v: the first of 32 subtree roots was evicted", walk)
 	}
 }

@@ -22,8 +22,8 @@ func (m ChunkMix) Coarse() float64 { return m.Frac[meta.Gran4K] + m.Frac[meta.Gr
 
 // pendingReq remembers a request awaiting its window's classification.
 type pendingReq struct {
-	part  int // first partition touched
-	count int // weight (one per generator request)
+	part  meta.PartIdx // first partition touched
+	count int          // weight (one per generator request)
 }
 
 // AnalyzeStreamChunks replays a trace through an idealized access tracker
@@ -36,7 +36,7 @@ func AnalyzeStreamChunks(g Generator, windowPs sim.Time) ChunkMix {
 	// Idealized tracker: one entry per chunk, no capacity pressure.
 	trk := tracker.New(tracker.Config{Entries: 65536, LifetimePs: windowPs})
 
-	pending := map[uint64][]pendingReq{} // by chunk
+	pending := map[meta.ChunkIdx][]pendingReq{} // by chunk
 	var counts [4]int
 	classify := func(dets []tracker.Detection) {
 		for _, d := range dets {

@@ -34,8 +34,9 @@ var (
 	// ErrTree reports counter tampering or replay (stale snapshots).
 	ErrTree = secmem.ErrTree
 	// ErrAddress reports a Read, Write or Verify whose address lies outside
-	// the image or is not 64B-aligned, or a Write whose plaintext is not
-	// one 64B block.
+	// the image or is not 64B-aligned, a Write whose plaintext is not one
+	// 64B block, or a Promote or Demote whose chunk lies outside the image
+	// or whose partition range is empty or leaves the chunk.
 	ErrAddress = errors.New("unimem: invalid block access")
 )
 
@@ -50,8 +51,9 @@ type Protected struct {
 	now int64
 }
 
-// NewProtected creates a protected image of size bytes (a multiple of
-// 32KB), keyed from seed. All regions start fine-grained (64B).
+// NewProtected creates a protected image of size bytes, keyed from seed.
+// All regions start fine-grained (64B). It panics when size is not a
+// positive multiple of 32KB.
 func NewProtected(size uint64, seed uint64) *Protected {
 	return &Protected{
 		mem: secmem.New(size, seed),
@@ -108,18 +110,41 @@ func (p *Protected) track(addr uint64) {
 	}
 }
 
-// GranOf reports the current protection granularity covering addr.
+// GranOf reports the current protection granularity covering addr. It
+// panics when addr lies outside the image.
 func (p *Protected) GranOf(addr uint64) Gran { return p.mem.GranOf(addr) }
 
 // Promote raises count 512B partitions starting at partition first of the
-// given 32KB chunk to stream (coarse) granularity.
+// given 32KB chunk to stream (coarse) granularity. It fails with
+// ErrAddress, changing nothing, when the chunk lies outside the image or
+// [first, first+count) is empty or leaves the chunk's 64 partitions.
 func (p *Protected) Promote(chunk uint64, first, count int) error {
-	return p.mem.Promote(chunk, first, count)
+	c, f, err := p.partitions(chunk, first, count)
+	if err != nil {
+		return err
+	}
+	return p.mem.Promote(c, f, count)
 }
 
-// Demote lowers partitions back to fine granularity.
+// Demote lowers partitions back to fine granularity. It rejects the same
+// inputs as Promote.
 func (p *Protected) Demote(chunk uint64, first, count int) error {
-	return p.mem.Demote(chunk, first, count)
+	c, f, err := p.partitions(chunk, first, count)
+	if err != nil {
+		return err
+	}
+	return p.mem.Demote(c, f, count)
+}
+
+// partitions validates a Promote/Demote range before any state is touched.
+func (p *Protected) partitions(chunk uint64, first, count int) (meta.ChunkIdx, meta.PartIdx, error) {
+	if n := p.mem.Geometry().Chunks(); chunk >= uint64(n) {
+		return 0, 0, fmt.Errorf("%w: chunk %d outside the %d-chunk image", ErrAddress, chunk, n)
+	}
+	if first < 0 || count < 1 || count > meta.PartsPerChunk-first {
+		return 0, 0, fmt.Errorf("%w: partitions [%d,+%d) outside the chunk's %d", ErrAddress, first, count, meta.PartsPerChunk)
+	}
+	return meta.ChunkIdx(chunk), meta.PartIdx(first), nil
 }
 
 // Snapshot captures all off-chip state (ciphertext, MACs, counters, tree
